@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race check api-snapshot api-check bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race fault-stress livebench-test check api-snapshot api-check bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -44,9 +44,22 @@ api-check:
 		fi; \
 	done; exit $$fail
 
-# The CI gate: static checks, the API freeze, and the full suite under
-# the race detector.
-check: vet api-check race
+# Fault-injection and session tests, repeated: a kill or fence that fires on
+# a racing event instead of a deterministic one shows up here as a failure,
+# not as an occasional flake in the full suite.
+FAULT_TESTS := Crash|Fence|Retry|Lease|Checkpoint|Reregist|Speculation|Conservation|Checksummed|Session|HandleConnAnswersPipelined
+fault-stress:
+	$(GO) test -count=20 -run '$(FAULT_TESTS)' ./internal/cluster ./internal/head
+
+# The live benchmark's own tests (a separate module): tiny smoke runs of the
+# deployment over loopback TCP with the WAN delay line, which exercise the
+# pipelined head session end to end.
+livebench-test:
+	$(GO) -C livebench test ./...
+
+# The CI gate: static checks, the API freeze, the full suite under the race
+# detector, the repeated fault tests and the live benchmark's tests.
+check: vet api-check race fault-stress livebench-test
 
 # Guard the near-free-when-disabled observability promise. The automated
 # gate (TestObsOverheadGate) asserts the disabled-Obs alloc overhead on the

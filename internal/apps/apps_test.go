@@ -2,6 +2,8 @@ package apps
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -510,5 +512,70 @@ func TestPageRankRegistry(t *testing.T) {
 	}
 	if r.(*PageRankReducer).Params.Nodes != 10 {
 		t.Errorf("registry params = %+v", r.(*PageRankReducer).Params)
+	}
+}
+
+// TestKMeansAssignPointMatchesAssign pins the unrolled center search to the
+// scalar Assign kernel: the same nearest center and the bit-identical squared
+// distance for every point, across K values that exercise only the K%4 tail,
+// exactly one 4-center pass, a pass plus a tail, and the livebench shape.
+// Duplicate centers and points sitting exactly on a center create exact
+// ties, which must resolve to the lower center index as Assign does.
+func TestKMeansAssignPointMatchesAssign(t *testing.T) {
+	const dim, points = 8, 20_000
+	rng := rand.New(rand.NewSource(12))
+	for _, k := range []int{1, 3, 4, 5, 7, 192} {
+		centers := make([][]float64, k)
+		for c := range centers {
+			if c >= 2 && c%3 == 2 {
+				// An exact duplicate of an earlier center, sometimes in the
+				// same 4-center pass and sometimes in an earlier one.
+				centers[c] = append([]float64(nil), centers[rng.Intn(c)]...)
+				continue
+			}
+			centers[c] = make([]float64, dim)
+			for i := range centers[c] {
+				centers[c][i] = float64(rng.Float32())
+			}
+		}
+		twin := make([]bool, k) // center c has an identical partner
+		for a := range centers {
+			for b := range centers[:a] {
+				if slices.Equal(centers[a], centers[b]) {
+					twin[a], twin[b] = true, true
+				}
+			}
+		}
+		r, err := NewKMeansReducer(KMeansParams{K: k, Dim: dim, Centers: centers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		unit := make([]byte, 0, 4*dim)
+		pt := make([]float64, dim)
+		ties := 0
+		for n := 0; n < points; n++ {
+			unit = unit[:0]
+			onCenter := n%8 == 0
+			c := centers[rng.Intn(k)]
+			for i := 0; i < dim; i++ {
+				v := rng.Float32()
+				if onCenter {
+					v = float32(c[i]) // exact: centers are float32 values
+				}
+				unit = core.AppendFloat32(unit, v)
+				pt[i] = float64(v)
+			}
+			wantK, wantD := r.Assign(unit)
+			gotK, gotD := r.assignPoint(pt)
+			if gotK != wantK || math.Float64bits(gotD) != math.Float64bits(wantD) {
+				t.Fatalf("K=%d point %d: assignPoint = (%d, %v), Assign = (%d, %v)", k, n, gotK, gotD, wantK, wantD)
+			}
+			if twin[wantK] {
+				ties++
+			}
+		}
+		if k >= 3 && ties == 0 {
+			t.Errorf("K=%d: no exact-tie points exercised", k)
+		}
 	}
 }

@@ -129,3 +129,22 @@ func BenchmarkPageRankCodec(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkKMeansKernel192 is the k-means kernel at the live benchmark's
+// kmeans-iter shape (K=192, Dim=8), where the center search dominates.
+func BenchmarkKMeansKernel192(b *testing.B) {
+	const k, dim = 192, 8
+	ix, src := benchPointsDataset(b, dim, 64_000)
+	centers := make([][]float64, k)
+	for c := range centers {
+		centers[c] = make([]float64, dim)
+		for d := range centers[c] {
+			centers[c][d] = float64((c*7+d*3)%k) / k
+		}
+	}
+	r, err := NewKMeansReducer(KMeansParams{K: k, Dim: dim, Centers: centers})
+	if err != nil {
+		b.Fatal(err)
+	}
+	benchApp(b, r, ix, src)
+}

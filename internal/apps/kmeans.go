@@ -95,12 +95,42 @@ func (r *KMeansReducer) Assign(unit []byte) (int, float64) {
 }
 
 // assignPoint is Assign over an already-decoded point: K×Dim multiply-adds
-// with hoisted bounds checks, accumulating in the same order as Assign so
-// the two produce bit-identical distances.
+// with hoisted bounds checks. Centers are scanned four per pass with an
+// independent accumulator each, so the four dependency chains overlap in
+// the FPU instead of serializing on one running sum. Each accumulator still
+// sums its center's terms in coordinate order, and the candidates are
+// compared in center order, so distances and ties resolve bit-identically
+// to Assign.
 func (r *KMeansReducer) assignPoint(pt []float64) (int, float64) {
+	cs := r.Params.Centers
 	best, bestDist := 0, math.MaxFloat64
-	for k, c := range r.Params.Centers {
-		c = c[:len(pt)] // one bounds check per center
+	k := 0
+	for ; k+4 <= len(cs); k += 4 {
+		// One bounds check per center.
+		c0, c1, c2, c3 := cs[k][:len(pt)], cs[k+1][:len(pt)], cs[k+2][:len(pt)], cs[k+3][:len(pt)]
+		var d0, d1, d2, d3 float64
+		for i, p := range pt {
+			e0, e1, e2, e3 := p-c0[i], p-c1[i], p-c2[i], p-c3[i]
+			d0 += e0 * e0
+			d1 += e1 * e1
+			d2 += e2 * e2
+			d3 += e3 * e3
+		}
+		if d0 < bestDist {
+			best, bestDist = k, d0
+		}
+		if d1 < bestDist {
+			best, bestDist = k+1, d1
+		}
+		if d2 < bestDist {
+			best, bestDist = k+2, d2
+		}
+		if d3 < bestDist {
+			best, bestDist = k+3, d3
+		}
+	}
+	for ; k < len(cs); k++ { // K%4 tail
+		c := cs[k][:len(pt)]
 		var d float64
 		for i, p := range pt {
 			diff := p - c[i]

@@ -575,6 +575,9 @@ func (a *agentRun) finalize(id int) error {
 		}
 	}
 	delete(a.queries, id)
+	// The local merge and encode are the site's share of the global
+	// reduction: they count as sync time, as in cluster.Run.
+	syncTimer := stats.StartTimerOn(a.clk, q.collector.AddSync)
 	obj, err := q.engine.Finish()
 	if err != nil {
 		return fmt.Errorf("cluster %s: query %d local reduction: %w", cfg.Name, id, err)
@@ -588,6 +591,7 @@ func (a *agentRun) finalize(id int) error {
 	if err != nil {
 		return fmt.Errorf("cluster %s: query %d encoding reduction object: %w", cfg.Name, id, err)
 	}
+	syncTimer.Stop()
 	b := q.collector.Breakdown()
 	jacct := q.collector.Jobs()
 	err = cfg.Head.SubmitResult(protocol.ReductionResult{

@@ -76,16 +76,16 @@ func (c InProcAgent) SubmitResult(res protocol.ReductionResult) error {
 }
 
 // RemoteAgent speaks the multi-query (proto 1) master protocol over one
-// transport connection. Like Remote, the master is the only requester and
-// every request expecting a reply is serialized under a mutex, so replies
-// correlate by ordering; heartbeats are fire-and-forget.
+// transport connection. It shares Remote's pipelined session: the agent's
+// retrieval lanes, its poll loop and its heartbeats may all have requests
+// on the wire at once, with replies matched to callers in send order.
 type RemoteAgent struct {
-	remote Remote
+	remote *Remote
 }
 
 // NewRemoteAgent wraps an established connection to the head node.
 func NewRemoteAgent(conn *transport.Conn) *RemoteAgent {
-	return &RemoteAgent{remote: Remote{conn: conn}}
+	return &RemoteAgent{remote: NewRemote(conn)}
 }
 
 // DialAgent connects a multi-query agent to the head node at addr.

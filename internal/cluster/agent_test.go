@@ -174,7 +174,12 @@ func TestAgentServesInterleavedQueries(t *testing.T) {
 			t.Errorf("query %d sum = %d, want %d", i, got, want)
 		}
 		if len(reports) != 1 || reports[0].Jobs.Total() != ix.NumChunks() {
-			t.Errorf("query %d reports = %+v, want all %d jobs on one site", i, reports, ix.NumChunks())
+			t.Fatalf("query %d reports = %+v, want all %d jobs on one site", i, reports, ix.NumChunks())
+		}
+		// The local merge and encode are the agent's share of the global
+		// reduction, reported as its Sync term.
+		if b := reports[0].Breakdown; b.Sync <= 0 {
+			t.Errorf("query %d: agent reported Sync = %v, want > 0 (breakdown %v)", i, b.Sync, b)
 		}
 	}
 	h.Shutdown()

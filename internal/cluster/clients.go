@@ -50,26 +50,45 @@ func (c InProc) SubmitResult(res protocol.ReductionResult) ([]byte, error) {
 // dialect (the only one heads still serve): registration is Hello →
 // SiteSpec → QuerySpecRequest for query 0, polling is PollRequest, and the
 // final result is fetched with ResultRequest after the ReductionResult is
-// acknowledged. The master is the only requester on the connection, and
-// every request that expects a reply is serialized under a mutex, so
-// replies correlate by ordering. Heartbeats are fire-and-forget (no reply),
-// matching the head's handler.
+// acknowledged.
+//
+// The session is pipelined: any number of goroutines may have a request on
+// the wire at once. The head answers every request exactly once, in arrival
+// order, so replies correlate by position — each caller's turn to read comes
+// when every earlier request's reply has been read. Heartbeats are
+// fire-and-forget (no reply, so no turn), matching the head's handler. The
+// first Send or Recv failure breaks the session: every queued and later
+// caller gets that error instead of waiting for a reply.
 //
 // The session starts in gob (so the Hello is readable regardless of
 // negotiation state) and advertises the binary codec in Hello.Codec; when
 // the head confirms it in SiteSpec.Codec, both directions upgrade for the
-// rest of the session.
+// rest of the session. Registration is therefore the session's first
+// exchange and must complete before any concurrent request is sent.
 type Remote struct {
-	mu   sync.Mutex
 	conn *transport.Conn
 	// UseGob disables the binary-codec advertisement, pinning the whole
 	// session to the gob compat fallback (for drills against old heads or
 	// for bisecting codec issues; see the workernode -wire-codec flag).
 	UseGob bool
+
+	// sendMu makes a request's Send and its ticket one step, so ticket
+	// order is wire order.
+	sendMu sync.Mutex
+	sent   uint64 // tickets issued; guarded by sendMu
+
+	mu     sync.Mutex
+	turn   *sync.Cond // broadcast when read advances or the session breaks
+	read   uint64     // replies consumed; ticket t reads once read == t
+	broken error      // first transport failure; sticky
 }
 
 // NewRemote wraps an established connection to the head node.
-func NewRemote(conn *transport.Conn) *Remote { return &Remote{conn: conn} }
+func NewRemote(conn *transport.Conn) *Remote {
+	r := &Remote{conn: conn}
+	r.turn = sync.NewCond(&r.mu)
+	return r
+}
 
 // DialHead connects to the head node at addr.
 func DialHead(network, addr string) (*Remote, error) {
@@ -83,13 +102,61 @@ func DialHead(network, addr string) (*Remote, error) {
 // Close closes the underlying connection.
 func (r *Remote) Close() error { return r.conn.Close() }
 
-func (r *Remote) roundTrip(req protocol.Message) (protocol.Message, error) {
+// err reports the session's sticky failure, if any.
+func (r *Remote) err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if err := r.conn.Send(req); err != nil {
+	return r.broken
+}
+
+// fail breaks the session with err unless it is already broken, waking
+// every queued caller.
+func (r *Remote) fail(err error) {
+	r.mu.Lock()
+	if r.broken == nil {
+		r.broken = err
+	}
+	r.turn.Broadcast()
+	r.mu.Unlock()
+}
+
+// roundTrip sends req and returns its reply. The request goes out as soon
+// as the send side is free; the caller then waits until the replies to all
+// earlier requests have been read and reads the next one, which is its own.
+func (r *Remote) roundTrip(req protocol.Message) (protocol.Message, error) {
+	r.sendMu.Lock()
+	if err := r.err(); err != nil {
+		r.sendMu.Unlock()
 		return nil, err
 	}
-	return r.conn.Recv()
+	if err := r.conn.Send(req); err != nil {
+		r.fail(err)
+		r.sendMu.Unlock()
+		return nil, err
+	}
+	ticket := r.sent
+	r.sent++
+	r.sendMu.Unlock()
+
+	r.mu.Lock()
+	for r.read != ticket && r.broken == nil {
+		r.turn.Wait()
+	}
+	if err := r.broken; err != nil {
+		r.mu.Unlock()
+		return nil, err // the session broke; no reply can be matched any more
+	}
+	r.mu.Unlock()
+	reply, err := r.conn.Recv()
+	if err != nil {
+		r.fail(err)
+		return nil, err
+	}
+	r.mu.Lock()
+	r.read++
+	r.turn.Broadcast()
+	r.mu.Unlock()
+	return reply, nil
 }
 
 // Register implements HeadClient: Hello → SiteSpec, then a
@@ -171,9 +238,17 @@ func (r *Remote) CompleteJobs(site int, js []jobs.Job) ([]int, error) {
 
 // Heartbeat implements HeadClient. No reply is expected.
 func (r *Remote) Heartbeat(site int) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.conn.Send(protocol.Heartbeat{Site: site})
+	// No reply, so no ticket in the reply queue.
+	r.sendMu.Lock()
+	defer r.sendMu.Unlock()
+	if err := r.err(); err != nil {
+		return err
+	}
+	if err := r.conn.Send(protocol.Heartbeat{Site: site}); err != nil {
+		r.fail(err)
+		return err
+	}
+	return nil
 }
 
 // Checkpoint implements HeadClient.

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/chunk"
@@ -132,19 +133,43 @@ func TestSingleClusterInProc(t *testing.T) {
 	}
 }
 
+// readHook runs before on every read.
+type readHook struct {
+	chunk.Source
+	before func()
+}
+
+func (r readHook) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	r.before()
+	return r.Source.ReadChunk(ref)
+}
+
 func TestHybridTwoClustersInProc(t *testing.T) {
 	ix, src, want := buildDataset(t, 8000, 1000, 100) // 8 files × 10 chunks
 	// 25% of files at site 0, 75% at site 1: site 0 must steal.
 	placement := jobs.SplitByFraction(len(ix.Files), 0.25, 0, 1)
 	h := newHead(t, ix, placement, 2)
 
-	sources := map[int]chunk.Source{0: src, 1: src} // same backing data
+	// Both clusters read the same backing data. The cloud's reads are held
+	// until the local cluster starts its 21st read: it owns only 20 chunks,
+	// so that read is a stolen one. Otherwise, with in-memory reads and
+	// symmetric compute, the cloud could be granted its whole share before
+	// the local cluster asks for more, and no stealing would happen.
+	localOwns := ix.NumChunks() / 4
+	cloudGate := make(chan struct{})
+	var localReads atomic.Int64
+	localSrc := readHook{Source: src, before: func() {
+		if localReads.Add(1) == int64(localOwns)+1 {
+			close(cloudGate)
+		}
+	}}
+	cloudSrc := gatedSource{Source: src, open: cloudGate}
 	var wg sync.WaitGroup
 	reports := make([]*Report, 2)
 	errs := make([]error, 2)
 	for i, cfg := range []Config{
-		{Site: 0, Name: "local", Cores: 2, Sources: sources, Head: InProc{Head: h}},
-		{Site: 1, Name: "cloud", Cores: 2, Sources: sources, Head: InProc{Head: h}},
+		{Site: 0, Name: "local", Cores: 2, Sources: map[int]chunk.Source{0: localSrc, 1: localSrc}, Head: InProc{Head: h}},
+		{Site: 1, Name: "cloud", Cores: 2, Sources: map[int]chunk.Source{0: cloudSrc, 1: cloudSrc}, Head: InProc{Head: h}},
 	} {
 		wg.Add(1)
 		go func(i int, cfg Config) {

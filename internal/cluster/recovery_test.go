@@ -170,16 +170,36 @@ func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 	}
 }
 
-// TestLeaseExpiryWithTwoClusters kills one of two clusters and lets lease
+// gatedSource blocks every read until open is closed: it holds a peer back
+// so a fault elsewhere fires on its own schedule rather than racing the
+// peer for the shared pool.
+type gatedSource struct {
+	chunk.Source
+	open <-chan struct{}
+}
+
+func (g gatedSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	<-g.open
+	return g.Source.ReadChunk(ref)
+}
+
+// TestCrashRestartWithTwoClusters kills one of two clusters and lets lease
 // expiry hand its unfinished jobs to the survivor; the restarted cluster
 // then rejoins to contribute its (checkpointed) share and the final object
 // matches the failure-free answer.
+//
+// The healthy cluster's reads are held until the doomed incarnation has
+// died. Otherwise, under CPU contention, the healthy cluster could steal
+// and drain site 0's jobs before the doomed one's fatal read, and no crash
+// would happen at all.
 func TestCrashRestartWithTwoClusters(t *testing.T) {
 	ix, src, want := buildDataset(t, 8000, 1000, 100) // 8 files × 10 chunks
 	placement := jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1)
 
 	h := newFaultHead(t, ix, placement, 2, fault.NewMemStore(), 200*time.Millisecond)
-	sources := map[int]chunk.Source{0: src, 1: src}
+	doomedDied := make(chan struct{})
+	gated := gatedSource{Source: src, open: doomedDied}
+	sources := map[int]chunk.Source{0: gated, 1: gated}
 	inj := &fault.Injector{Source: src, KillAfter: 8}
 	doomed := Config{
 		Site: 0, Name: "doomed", Cores: 2,
@@ -201,7 +221,9 @@ func TestCrashRestartWithTwoClusters(t *testing.T) {
 	}()
 
 	// First incarnation dies, replacement resumes from its checkpoint.
-	if _, err := Run(doomed); err == nil {
+	_, err := Run(doomed)
+	close(doomedDied)
+	if err == nil {
 		t.Fatal("killed cluster's run succeeded")
 	}
 	inj.Arm()

@@ -235,6 +235,25 @@ func (h *Head) siteCkptLock(site int) *sync.Mutex {
 	return m
 }
 
+// lockUnfenced makes a grant or commit for site one step against FailSite.
+// With fault machinery on it takes the site's checkpoint lock, which
+// FailSite holds (after fencing the site) while it requeues the site's
+// outstanding jobs and draws the reissue boundary, and checks the fence
+// under it. The caller runs its step and then calls unlock. Without fault
+// machinery no site can fail and there is nothing to lock.
+func (h *Head) lockUnfenced(site int) (unlock func(), err error) {
+	if h.fs == nil {
+		return func() {}, nil
+	}
+	ckl := h.siteCkptLock(site)
+	ckl.Lock()
+	if err := h.fencedCheck(site); err != nil {
+		ckl.Unlock()
+		return nil, err
+	}
+	return ckl.Unlock, nil
+}
+
 // FailSite declares site failed: its lease is revoked, its in-flight jobs
 // return to every query's pool, and completions not covered by each query's
 // last persisted checkpoint are reissued for recomputation. From the

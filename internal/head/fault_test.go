@@ -2,6 +2,7 @@ package head
 
 import (
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -38,9 +39,23 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 	if err := EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
+	// The head's failure detector runs on its own goroutine and may log a
+	// lease expiry while the test is finishing; logging after the test has
+	// completed panics, so cleanup stops the head and then the logger.
+	var (
+		logMu  sync.Mutex
+		logOff bool
+	)
+	logf := func(format string, args ...any) {
+		logMu.Lock()
+		defer logMu.Unlock()
+		if !logOff {
+			t.Logf(format, args...)
+		}
+	}
 	h, err := New(Config{
 		Pool: pool, Reducer: sumReducer{}, Spec: spec,
-		ExpectClusters: clusters, Logf: t.Logf,
+		ExpectClusters: clusters, Logf: logf,
 		Tuning: config.Tuning{LeaseTTL: fo.LeaseTTL, SpeculateAfter: fo.SpeculateAfter,
 			StragglerFactor: fo.StragglerFactor, WatchdogMinSamples: fo.WatchdogMinSamples},
 		Fault: FaultConfig{Store: fo.Store},
@@ -49,6 +64,12 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		h.Shutdown()
+		logMu.Lock()
+		logOff = true
+		logMu.Unlock()
+	})
 	return h, pool
 }
 

@@ -562,3 +562,73 @@ func TestServeOverTCP(t *testing.T) {
 		t.Errorf("total = %d, want 30", obj.(*sumObj).total)
 	}
 }
+
+// TestHandleConnAnswersPipelinedRequestsInOrder pins the invariant the
+// pipelined master session depends on: requests written back to back,
+// without waiting for replies, are answered exactly once each and in
+// arrival order, and heartbeats interleaved among them get no reply. Error
+// outcomes (a completion for a job never granted, a checkpoint with
+// checkpointing disabled, an unknown query) still take exactly one reply.
+func TestHandleConnAnswersPipelinedRequestsInOrder(t *testing.T) {
+	h := testHead(t, 1)
+	a, b := transport.Pipe()
+	go h.HandleConn(b)
+	defer a.Close()
+
+	reqs := []protocol.Message{
+		protocol.Hello{Site: 0, Cluster: "pipe", Cores: 2, Proto: protocol.ProtoMulti},
+		protocol.PollRequest{Site: 0, N: 2},
+		protocol.QuerySpecRequest{Site: 0, Query: 0},
+		protocol.Heartbeat{Site: 0},
+		protocol.JobsDone{Site: 0, Query: 0, Jobs: []jobs.Job{{ID: 999}}},
+		protocol.CheckpointSave{Site: 0, Seq: 1, Query: 0},
+		protocol.QuerySpecRequest{Site: 0, Query: 42},
+		protocol.Heartbeat{Site: 0},
+		protocol.Heartbeat{Site: 0},
+		protocol.PollRequest{Site: 0, N: 2},
+		protocol.QuerySpecRequest{Site: 0, Query: 0},
+		protocol.Heartbeat{Site: 0},
+		protocol.PollRequest{Site: 0, N: 1},
+	}
+	want := []string{
+		"protocol.SiteSpec", "protocol.PollReply", "protocol.JobSpec",
+		"protocol.JobsDoneAck", "protocol.CheckpointAck", "protocol.ErrorReply",
+		"protocol.PollReply", "protocol.JobSpec", "protocol.PollReply",
+	}
+	sendErr := make(chan error, 1)
+	go func() {
+		for _, m := range reqs {
+			if err := a.Send(m); err != nil {
+				sendErr <- err
+				return
+			}
+		}
+		sendErr <- nil
+	}()
+	for i, w := range want {
+		reply, err := a.Recv()
+		if err != nil {
+			t.Fatalf("reply %d: %v", i, err)
+		}
+		if got := fmt.Sprintf("%T", reply); got != w {
+			t.Fatalf("reply %d = %s (%+v), want %s", i, got, reply, w)
+		}
+		switch m := reply.(type) {
+		case protocol.JobSpec:
+			if m.App != "sum" {
+				t.Errorf("reply %d: spec = %+v", i, m)
+			}
+		case protocol.JobsDoneAck:
+			if m.Err == "" {
+				t.Errorf("reply %d: completing an ungranted job was acked cleanly", i)
+			}
+		case protocol.CheckpointAck:
+			if m.Err == "" {
+				t.Errorf("reply %d: checkpoint accepted with checkpointing disabled", i)
+			}
+		}
+	}
+	if err := <-sendErr; err != nil {
+		t.Fatal(err)
+	}
+}

@@ -370,10 +370,19 @@ func (h *Head) PollFrom(req protocol.PollRequest) (protocol.PollReply, error) {
 	if draining {
 		return h.pollDraining(site)
 	}
+	// One step against FailSite (see lockUnfenced): a grant racing a failure
+	// either lands first and is requeued with the rest, or sees the fence.
+	// It is never left outstanding at a dead incarnation, where no one would
+	// ever commit it.
+	unlock, err := h.lockUnfenced(site)
+	if err != nil {
+		return protocol.PollReply{}, opErr("poll", site, -1, err)
+	}
 	grantStart := h.clk.Now()
 	sp := h.tr.Begin(0, 0, "scheduling", "request-jobs")
 	tagged := h.fair.Assign(site, n)
 	sp.End(obs.Args{"site": site, "asked": n, "granted": len(tagged)})
+	unlock()
 
 	var rep protocol.PollReply
 	idx := make(map[int]int)
@@ -584,6 +593,16 @@ func (h *Head) CompleteQueryJobs(query, site int, js []jobs.Job) ([]int, error) 
 		return dups, nil
 	}
 	h.mu.Unlock()
+	// One step against FailSite (see lockUnfenced): a commit racing a failure
+	// either lands first and is reissued with the site's other
+	// un-checkpointed work, or sees the fence. Otherwise the pool would take
+	// it as a late completion after the reissue boundary was drawn, and its
+	// fold would die with the fenced incarnation.
+	unlock, err := h.lockUnfenced(site)
+	if err != nil {
+		return nil, opErr("complete", site, query, err)
+	}
+	defer unlock()
 	now := h.clk.Now()
 	var dups []int
 	for _, j := range js {
