@@ -53,9 +53,10 @@ fault-stress:
 
 # The live benchmark's own tests (a separate module): tiny smoke runs of the
 # deployment over loopback TCP with the WAN delay line, which exercise the
-# pipelined head session end to end.
+# pipelined head session and the agent's poll-ahead end to end, under the
+# race detector.
 livebench-test:
-	$(GO) -C livebench test ./...
+	$(GO) -C livebench test -race ./...
 
 # The CI gate: static checks, the API freeze, the full suite under the race
 # detector, the repeated fault tests and the live benchmark's tests.
@@ -98,7 +99,7 @@ bench-elastic-multi:
 
 # Cache-tier numbers for PR 8: the burst-side partition cache's sim warm
 # speedup (≥3× vs an uncached cold pass), warm-pass hit rate, and the
-# <2% live-data-plane overhead when the cache is disabled or inert.
-# Writes BENCH_8.json.
+# <2% live-data-plane overhead (one agent, RunAgent) when the cache is
+# disabled or inert. Writes BENCH_8.json.
 bench-cache:
 	BENCH_CACHE_OUT=BENCH_8.json $(GO) test -count=1 -run TestEmitBenchCache -v .

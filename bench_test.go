@@ -487,7 +487,7 @@ func TestObsOverheadGate(t *testing.T) {
 	measureCache := func(reg *obs.Registry) (allocs uint64) {
 		c := stagecache.New(stagecache.Config{CapacityBytes: ix.TotalBytes() * 2}, reg)
 		defer c.Close()
-		wrapped := c.Wrap(1, src)
+		wrapped := c.Wrap(0, 1, src)
 		cacheSweep(wrapped) // populate the memory tier
 		runtime.GC()
 		var before, after runtime.MemStats

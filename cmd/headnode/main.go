@@ -1,7 +1,9 @@
 // Command headnode runs the framework's head node: it reads the dataset
-// index, builds the global job pool with the file→site placement, serves
-// job groups to cluster masters (local first, stolen after), and performs
-// the final global reduction once every cluster reports.
+// index, admits one query whose job pool follows the file→site placement,
+// serves job groups to cluster agents (local first, stolen after), and
+// performs the final global reduction once every cluster reports. It then
+// prints the per-cluster report and shuts the session down, which tells the
+// agents to exit.
 //
 // Example (knn over a dataset whose first 11 files live at site 0 and the
 // rest in the object store at site 1):
@@ -36,8 +38,7 @@ func main() {
 		indexPath  = flag.String("index", "", "path to the dataset index (required)")
 		localFiles = flag.Int("local-files", 0, "number of leading files hosted at site 0 (rest at site 1)")
 		clusters   = flag.Int("clusters", 2, "clusters expected to register")
-		app       = flag.String("app", "knn", "application: knn, kmeans, pagerank")
-		groupSize = flag.Int("group-size", 0, "jobs per master request (0 = master default)")
+		app        = flag.String("app", "knn", "application: knn, kmeans, pagerank")
 
 		knnK  = flag.Int("knn-k", 10, "knn: neighbors")
 		dim   = flag.Int("dim", 8, "knn/kmeans: point dimensionality")
@@ -110,15 +111,11 @@ func main() {
 		Params:     params,
 		UnitSize:   unitSize,
 		GroupBytes: gb,
-		GroupSize:  *groupSize,
 	}
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		fail("headnode: %v", err)
 	}
 	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        reducer,
-		Spec:           spec,
 		ExpectClusters: *clusters,
 		Logf:           log.Printf,
 		Obs:            rt.Obs,
@@ -126,6 +123,12 @@ func main() {
 		DynamicSites:   ef.Elastic,
 		DefaultPolicy:  ef.SessionDefaultPolicy(log.Printf),
 	})
+	if err != nil {
+		fail("headnode: %v", err)
+	}
+	// Every registered cluster takes part in the query and reports, as in
+	// the paper's deployment.
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: reducer, Spec: spec, ExpectAll: true})
 	if err != nil {
 		fail("headnode: %v", err)
 	}
@@ -151,20 +154,26 @@ func main() {
 	}
 	resCh := make(chan outcome, 1)
 	go func() {
-		_, reports, grTime, err := h.Result()
+		_, reports, grTime, err := q.Wait(context.Background())
 		resCh <- outcome{reports, grTime, err}
 	}()
+	// Shutdown tells every agent to exit on its next poll; Close then waits
+	// for their sessions to end.
+	stop := func() {
+		h.Shutdown()
+		_ = h.Close()
+	}
 	select {
 	case <-rt.Context().Done():
-		// SIGINT/SIGTERM: close the listener and in-flight connections,
-		// then flush trace/metrics before exiting.
+		// SIGINT/SIGTERM: stop the session and close the listener, then
+		// flush trace/metrics before exiting.
 		log.Printf("headnode: shutdown signal; closing listener")
-		_ = h.Close()
+		stop()
 		_ = rt.Close()
 		return
 	case out := <-resCh:
 		if out.err != nil {
-			_ = h.Close()
+			stop()
 			fail("headnode: run failed: %v", out.err)
 		}
 		fmt.Printf("run complete; global reduction took %v\n", out.grTime)
@@ -173,7 +182,7 @@ func main() {
 				r.Cluster, r.Site, r.Breakdown, r.Jobs.Local, r.Jobs.Stolen)
 		}
 	}
-	_ = h.Close()
+	stop()
 	_ = rt.Close()
 }
 

@@ -1,8 +1,9 @@
-// Command workernode runs one cluster's worker process: the master (which
-// requests job groups from the head on demand) plus the slave retrieval and
-// processing threads. Data hosted at the cluster's own site is read from a
-// local directory; remote-site data is fetched from the object-store daemon
-// with multiple retrieval threads.
+// Command workernode runs one cluster's worker process: the agent's master
+// loop (which requests job groups from the head on demand) plus the slave
+// retrieval lanes and processing threads. Data hosted at the cluster's own
+// site is read from a local directory; remote-site data is fetched from the
+// object-store daemon with multiple retrieval lanes. The worker serves every
+// query the head admits and exits when the head shuts the session down.
 //
 // Example (the "local" cluster, site 0):
 //
@@ -16,6 +17,8 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -36,7 +39,7 @@ func main() {
 		site      = flag.Int("site", 0, "storage site co-located with this cluster")
 		name      = flag.String("name", "cluster", "cluster name for logs and reports")
 		cores     = flag.Int("cores", 4, "processing threads")
-		retrieval = flag.Int("retrieval", 4, "retrieval threads")
+		retrieval = flag.Int("retrieval", 4, "retrieval lanes: chunks fetched concurrently")
 		dataDir   = flag.String("data", "", "directory with site-0 data files (local storage node)")
 		s3Addr    = flag.String("s3", "", "object-store daemon address (site-1 data)")
 		s3Threads = flag.Int("s3-threads", 2, "parallel range fetches per remote chunk")
@@ -65,11 +68,11 @@ func main() {
 
 	useGob := tn.UseGob()
 
-	hc, err := cluster.DialHead("tcp", *headAddr)
+	hc, err := cluster.DialAgent("tcp", *headAddr)
 	if err != nil {
 		fail("workernode: %v", err)
 	}
-	hc.UseGob = useGob
+	hc.SetUseGob(useGob)
 	defer hc.Close()
 
 	var osc *objstore.Client
@@ -84,18 +87,9 @@ func main() {
 
 	sourceLabels := map[int]string{0: "local", 1: "s3"}
 
-	// Graceful shutdown: cluster.Run has no cancellation hook, so a signal
-	// closes the head and object-store connections, which errors the run
-	// out promptly; the deferred runtime close still flushes trace/metrics.
-	go func() {
-		<-rt.Context().Done()
-		hc.Close()
-		if osc != nil {
-			osc.Close()
-		}
-	}()
-
-	report, err := cluster.Run(cluster.Config{
+	// Graceful shutdown: a signal cancels the agent's context; the runtime
+	// close below still flushes trace/metrics.
+	err = cluster.RunAgent(rt.Context(), cluster.AgentConfig{
 		Site:             *site,
 		Name:             *name,
 		Cores:            *cores,
@@ -124,13 +118,11 @@ func main() {
 		Logf:         log.Printf,
 		Obs:          rt.Obs,
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, context.Canceled) {
 		fail("workernode: %v", err)
 	}
-	fmt.Printf("cluster %s done: %v\n", report.Name, report.Breakdown)
-	fmt.Printf("  jobs: %d local + %d stolen\n", report.Jobs.Local, report.Jobs.Stolen)
-	for src, n := range report.Bytes {
-		fmt.Printf("  retrieved %.1f MiB from %s\n", float64(n)/(1<<20), src)
-	}
+	reg := rt.Obs.Metrics()
+	fmt.Printf("cluster %s done: %d local + %d stolen jobs\n", *name,
+		reg.Counter("cluster_jobs_local_total").Value(), reg.Counter("cluster_jobs_stolen_total").Value())
 	_ = rt.Close()
 }

@@ -1,3 +1,18 @@
+// Package cluster implements one cluster's runtime: a MASTER that keeps the
+// cluster-local job pool fed by on-demand group requests to the head node,
+// and SLAVE retrieval lanes that fetch assigned chunks and fold them through
+// the Generalized Reduction engine. One agent (RunAgent) serves every query
+// the head admits over a single session: each query gets its own reduction
+// engine, and when the head reports a query's pool drained the agent
+// performs its local merge and ships the reduction object.
+//
+// The agent requests its next job group while it still works the current
+// one ("whenever a cluster's job pool is diminishing"), so the head round
+// trip overlaps the folds. With fault tolerance enabled on the head, it also
+// renews its liveness lease with heartbeats, commits every job to the head
+// BEFORE folding it (so the head can deduplicate speculative and recovered
+// re-executions), ships periodic reduction-object checkpoints, and resumes
+// from the checkpoint the head hands back after a crash-restart.
 package cluster
 
 import (
@@ -20,8 +35,47 @@ import (
 	"repro/internal/jobs"
 	"repro/internal/obs"
 	"repro/internal/protocol"
+	"repro/internal/stagecache"
 	"repro/internal/stats"
 )
+
+// waitPoll is how long the agent sleeps before re-polling the head after an
+// idle reply (nothing granted, nothing to finish).
+const waitPoll = 20 * time.Millisecond
+
+// Retry is the retrieval fault-tolerance policy: each chunk fetch is
+// attempted up to Attempts times, sleeping a capped exponential backoff with
+// deterministic jitter between tries (base, 2×base, 4×base, … up to Cap,
+// each halved plus a seeded-random half — "equal jitter").
+//
+// The zero value means 3 attempts, a 50 ms base backoff, a 2 s delay cap,
+// and jitter seed 0; two clusters running the same Seed sleep the same
+// sequence of delays, keeping fault drills reproducible.
+//
+// Permanent failures — a missing object, an out-of-range read, anything
+// satisfying fault.PermanentError, or a chunk.ErrBounds — are not retried;
+// transient failures (dropped connections, short reads, checksum mismatches
+// from a garbled transfer) are.
+type Retry struct {
+	Attempts int
+	Backoff  time.Duration
+	Cap      time.Duration
+	Seed     uint64
+}
+
+func (r Retry) attempts() int {
+	if r.Attempts <= 0 {
+		return 3
+	}
+	return r.Attempts
+}
+
+func (r Retry) backoff() time.Duration {
+	if r.Backoff <= 0 {
+		return 50 * time.Millisecond
+	}
+	return r.Backoff
+}
 
 // AgentConfig parameterizes a long-lived multi-query cluster agent: one
 // registration and one head session serving every query the head admits,
@@ -33,8 +87,8 @@ type AgentConfig struct {
 	Name string
 	// Cores is the number of processing threads per query engine. Required.
 	Cores int
-	// RetrievalThreads is the number of concurrent chunk retrievals used
-	// while working one query's grant batch. Defaults to 2.
+	// RetrievalThreads is the number of retrieval lanes: concurrent chunk
+	// retrievals while working one query's grant batch. Defaults to 2.
 	RetrievalThreads int
 	// Tuning carries the shared knobs (GroupBytes override,
 	// CheckpointEveryJobs); see config.Tuning.
@@ -44,8 +98,16 @@ type AgentConfig struct {
 	Sources map[int]chunk.Source
 	// SourceBuilder constructs sources per query once its index is known.
 	SourceBuilder func(ix *chunk.Index) (map[int]chunk.Source, error)
-	// SourceLabels names sources for byte accounting; optional.
+	// SourceLabels names sources for byte accounting and the
+	// cluster_retrieval_seconds{source} series; optional.
 	SourceLabels map[int]string
+	// Cache, when non-nil, interposes the burst-side partition cache on
+	// every remote-site source: reads go memory tier → replica → origin,
+	// fresh origin reads spill asynchronously to the replica, and the agent
+	// pre-stages each granted remote chunk in grant order. Reads of the
+	// agent's own site bypass the cache; nil disables it entirely. The cache
+	// outlives each query, so later queries over the same dataset hit it.
+	Cache *stagecache.Cache
 	// Head connects to the head node. Required.
 	Head QueryClient
 	// RequestBatch is the job-group size per poll; defaults to max(Cores, 4).
@@ -83,6 +145,15 @@ func (c *AgentConfig) applyDefaults() error {
 	return nil
 }
 
+// siteSource is one query's read path to one hosting site, resolved once
+// when the query is first seen.
+type siteSource struct {
+	src   chunk.Source // what the lanes read: cached and verified as configured
+	raw   chunk.Source // the unwrapped source, for the pre-stager
+	label string       // byte-accounting and metric label
+	hRetr *obs.Histogram
+}
+
 // agentQuery is the agent-side state of one active query: its own reduction
 // engine, sources, stats collector and checkpoint bookkeeping, fully
 // isolated from every other query the agent serves.
@@ -91,11 +162,12 @@ type agentQuery struct {
 	spec      protocol.JobSpec
 	reducer   core.Reducer
 	engine    *core.Engine
-	sources   map[int]chunk.Source
+	dataset   uint64 // stagecache.DatasetID of the index; set with a cache
+	sources   map[int]*siteSource
 	collector *stats.Collector
 
-	// Checkpoint state, mirroring cluster.Run's: folds hold ckptMu.RLock, a
-	// checkpoint holds the write lock while it quiesces the engine.
+	// Checkpoint state: folds hold ckptMu.RLock, a checkpoint holds the
+	// write lock while it quiesces the engine.
 	ckptMu    sync.RWMutex
 	idsMu     sync.Mutex
 	folded    []int
@@ -118,6 +190,8 @@ type agentRun struct {
 	mDups    *obs.Counter
 	mCkpts   *obs.Counter
 	mRetries *obs.Counter
+	// gInflight counts chunk retrievals in progress across all lanes.
+	gInflight *obs.Gauge
 
 	// Distributed-trace state. traceOn flips when the head's SiteSpec
 	// confirms the Hello's trace advert; only then do spans accumulate and
@@ -143,13 +217,36 @@ func (a *agentRun) addSpan(s protocol.WireSpan) {
 	a.spanMu.Unlock()
 }
 
-// takeSpans drains the span buffer for a poll shipment.
-func (a *agentRun) takeSpans() []protocol.WireSpan {
+// pollRequest builds the next poll; on a traced session it carries the
+// spans buffered since the last one.
+func (a *agentRun) pollRequest() protocol.PollRequest {
+	req := protocol.PollRequest{Site: a.cfg.Site, N: a.cfg.RequestBatch}
+	if a.traceOn {
+		a.spanMu.Lock()
+		req.Spans, a.spans = a.spans, nil
+		a.spanMu.Unlock()
+		req.NowNS = int64(a.clk.Now())
+	}
+	return req
+}
+
+// restoreSpans keeps a failed poll's spans for the next attempt (order
+// within the merged trace comes from timestamps, not shipment order).
+func (a *agentRun) restoreSpans(spans []protocol.WireSpan) {
+	if len(spans) == 0 {
+		return
+	}
 	a.spanMu.Lock()
-	defer a.spanMu.Unlock()
-	s := a.spans
-	a.spans = nil
-	return s
+	a.spans = append(spans, a.spans...)
+	a.spanMu.Unlock()
+}
+
+// pollResult is one poll's outcome, handed from the poller goroutine to the
+// agent loop.
+type pollResult struct {
+	req protocol.PollRequest
+	rep protocol.PollReply
+	err error
 }
 
 // queryTrace returns the TraceContext to stamp on messages and spans for q:
@@ -170,20 +267,26 @@ func (a *agentRun) queryTrace(q *agentQuery) protocol.TraceContext {
 // others), canceled queries are discarded on the head's Dropped notice, and
 // a fencing rejection triggers re-registration with all local query state
 // reset (the head already reissued anything not checkpointed).
+//
+// Polls run one grant ahead: right after a reply that granted jobs the next
+// poll goes out, so its round trip overlaps the current batch's folds. The
+// early reply is acted on only after the current batch is fully folded, so
+// a Done notice it carries never races this batch's folds.
 func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	if err := cfg.applyDefaults(); err != nil {
 		return err
 	}
 	reg := cfg.Obs.Metrics()
 	a := &agentRun{
-		cfg:      &cfg,
-		clk:      cfg.Obs.ClockOrWall(),
-		queries:  make(map[int]*agentQuery),
-		mLocal:   reg.Counter("cluster_jobs_local_total"),
-		mStolen:  reg.Counter("cluster_jobs_stolen_total"),
-		mDups:    reg.Counter("cluster_dup_jobs_total"),
-		mCkpts:   reg.Counter("cluster_checkpoints_total"),
-		mRetries: reg.Counter("cluster_retrieval_retries_total"),
+		cfg:       &cfg,
+		clk:       cfg.Obs.ClockOrWall(),
+		queries:   make(map[int]*agentQuery),
+		mLocal:    reg.Counter("cluster_jobs_local_total"),
+		mStolen:   reg.Counter("cluster_jobs_stolen_total"),
+		mDups:     reg.Counter("cluster_dup_jobs_total"),
+		mCkpts:    reg.Counter("cluster_checkpoints_total"),
+		mRetries:  reg.Counter("cluster_retrieval_retries_total"),
+		gInflight: reg.Gauge("cluster_retrievals_inflight"),
 	}
 	bufpool.Register(reg)
 
@@ -198,8 +301,7 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	}
 	a.traceOn = !siteSpec.Trace.Zero()
 
-	// Heartbeats renew the agent's lease for the whole session; unlike the
-	// single-query master there is no terminal blocking submit to stop for.
+	// Heartbeats renew the agent's lease for the whole session.
 	stopHB := make(chan struct{})
 	var hbWG sync.WaitGroup
 	defer hbWG.Wait()
@@ -222,33 +324,77 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 	}
 	defer a.discardAll()
 
+	// One long-lived poller carries every poll, so a poll can be in flight
+	// while the loop folds a batch. At most one poll is outstanding, so the
+	// one-slot reply buffer never blocks it.
+	polls := make(chan protocol.PollRequest)
+	replies := make(chan pollResult, 1)
+	inFlight := false
+	defer func() {
+		// Collect a poll still in flight before returning, so a dead
+		// incarnation's poll cannot reach the head after a replacement has
+		// registered: whatever it granted is then requeued by that
+		// registration.
+		if inFlight {
+			select {
+			case <-replies:
+			case <-ctx.Done():
+			}
+		}
+		close(polls)
+	}()
+	go func() {
+		for req := range polls {
+			rep, err := cfg.Head.Poll(req)
+			replies <- pollResult{req: req, rep: rep, err: err}
+		}
+	}()
+	await := func() (pollResult, error) {
+		select {
+		case res := <-replies:
+			inFlight = false
+			return res, nil
+		case <-ctx.Done():
+			return pollResult{}, ctx.Err()
+		}
+	}
+
+	// aheadDone holds the queries submitted while the in-flight poll was
+	// out. The head may have answered that poll before the submission
+	// landed, so its reply can still list them in Done; acting on that again
+	// would ship a second, empty result.
+	var aheadDone map[int]bool
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		req := protocol.PollRequest{Site: cfg.Site, N: cfg.RequestBatch}
-		if a.traceOn {
-			req.Spans = a.takeSpans()
-			req.NowNS = int64(a.clk.Now())
+		early := inFlight
+		staleDone := aheadDone
+		aheadDone = nil
+		if !inFlight {
+			polls <- a.pollRequest()
+			inFlight = true
 		}
-		rep, err := cfg.Head.Poll(req)
+		res, err := await()
 		if err != nil {
-			if len(req.Spans) > 0 {
-				// Keep the spans for the next attempt (order within the merged
-				// trace comes from timestamps, not shipment order).
-				a.spanMu.Lock()
-				a.spans = append(req.Spans, a.spans...)
-				a.spanMu.Unlock()
-			}
-			if fault.IsFenced(err) {
+			return err
+		}
+		rep := res.rep
+		if res.err != nil {
+			a.restoreSpans(res.req.Spans)
+			if fault.IsFenced(res.err) {
 				if err := a.reregister(); err != nil {
 					return err
 				}
 				continue
 			}
-			return fmt.Errorf("cluster %s: poll: %w", cfg.Name, err)
+			return fmt.Errorf("cluster %s: poll: %w", cfg.Name, res.err)
 		}
-		worked := false
+		if len(rep.Queries) > 0 {
+			polls <- a.pollRequest() // one grant ahead
+			inFlight = true
+		}
+		worked, fenced := false, false
 		for _, qj := range rep.Queries {
 			q, err := a.ensure(qj.Query)
 			if err != nil {
@@ -259,20 +405,46 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 				}
 				return err
 			}
+			a.prestage(q, qj.Jobs)
 			if err := a.process(ctx, q, qj.Jobs); err != nil {
 				if fault.IsFenced(err) {
-					if err := a.reregister(); err != nil {
-						return err
-					}
+					fenced = true
 					break
 				}
 				return err
 			}
 			worked = true
 		}
+		if fenced {
+			// Keep requests in wire order: collect the early poll before
+			// re-registering. Whatever it granted went back to the pool
+			// with the fenced incarnation's other jobs.
+			if inFlight {
+				res, err := await()
+				if err != nil {
+					return err
+				}
+				if res.err != nil {
+					a.restoreSpans(res.req.Spans)
+				}
+			}
+			if err := a.reregister(); err != nil {
+				return err
+			}
+			continue
+		}
 		for _, id := range rep.Done {
+			if early && staleDone[id] {
+				continue
+			}
 			if err := a.finalize(id); err != nil {
 				return err
+			}
+			if inFlight {
+				if aheadDone == nil {
+					aheadDone = make(map[int]bool)
+				}
+				aheadDone[id] = true
 			}
 			worked = true
 		}
@@ -290,11 +462,13 @@ func RunAgent(ctx context.Context, cfg AgentConfig) error {
 		if rep.Shutdown {
 			return nil
 		}
-		if !worked {
+		if !worked && !early {
 			// Idle: nothing granted and nothing to finish. New queries may be
 			// admitted at any time, so the agent never exits on an empty
 			// grant — it backs off and polls again (Wait only distinguishes
-			// how soon recovery work could appear).
+			// how soon recovery work could appear). An empty early reply
+			// only means the pool ran dry while the last batch was folding;
+			// the agent polls again at once.
 			select {
 			case <-ctx.Done():
 				return ctx.Err()
@@ -338,18 +512,32 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	if err != nil {
 		return nil, fmt.Errorf("cluster %s: bad index in query %d spec: %w", cfg.Name, id, err)
 	}
-	sources := cfg.Sources
-	if len(sources) == 0 {
-		if sources, err = cfg.SourceBuilder(ix); err != nil {
+	built := cfg.Sources
+	if len(built) == 0 {
+		if built, err = cfg.SourceBuilder(ix); err != nil {
 			return nil, fmt.Errorf("cluster %s: building sources for query %d: %w", cfg.Name, id, err)
 		}
 	}
-	if ix.HasChecksums() {
-		verified := make(map[int]chunk.Source, len(sources))
-		for site, src := range sources {
-			verified[site] = chunk.VerifyingSource{Source: src, Index: ix}
+	var dataset uint64
+	if cfg.Cache != nil {
+		dataset = stagecache.DatasetID(spec.Index)
+	}
+	reg := cfg.Obs.Metrics()
+	sources := make(map[int]*siteSource, len(built))
+	for site, raw := range built {
+		// The cache wraps only remote-site reads, and checksum verification
+		// stays outermost, so replica-served bytes are verified exactly
+		// like origin bytes.
+		src := raw
+		if site != cfg.Site {
+			src = cfg.Cache.Wrap(dataset, site, src)
 		}
-		sources = verified
+		if ix.HasChecksums() {
+			src = chunk.VerifyingSource{Source: src, Index: ix}
+		}
+		label := sourceLabelFor(cfg.SourceLabels, cfg.Site, site)
+		sources[site] = &siteSource{src: src, raw: raw, label: label,
+			hRetr: reg.Histogram("cluster_retrieval_seconds", nil, "source", label)}
 	}
 	reducer, err := core.NewReducer(spec.App, spec.Params)
 	if err != nil {
@@ -374,8 +562,8 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	}
 	q := &agentQuery{
 		id: id, spec: spec, reducer: reducer, engine: engine,
-		sources: sources, collector: collector,
-		mFolded: cfg.Obs.Metrics().Counter("cluster_jobs_folded_total",
+		dataset: dataset, sources: sources, collector: collector,
+		mFolded: reg.Counter("cluster_jobs_folded_total",
 			"query", strconv.Itoa(id), "site", strconv.Itoa(cfg.Site)),
 	}
 	if len(spec.Checkpoint) > 0 {
@@ -394,6 +582,31 @@ func (a *agentRun) ensure(id int) (*agentQuery, error) {
 	a.queries[id] = q
 	cfg.Logf("cluster %s: serving query %d (app %q)", cfg.Name, id, spec.App)
 	return q, nil
+}
+
+// prestage pushes a grant's remote chunks toward the cache's replica, per
+// hosting site in grant order, through the raw sources: the stager must not
+// loop through the cache it feeds. It skips anything a read-through already
+// cached, so the overlap with the lanes is cheap.
+func (a *agentRun) prestage(q *agentQuery, js []jobs.Job) {
+	if a.cfg.Cache == nil {
+		return
+	}
+	var bySite map[int][]chunk.Ref
+	for _, j := range js {
+		if j.Site == a.cfg.Site {
+			continue
+		}
+		if bySite == nil {
+			bySite = make(map[int][]chunk.Ref)
+		}
+		bySite[j.Site] = append(bySite[j.Site], j.Ref)
+	}
+	for site, refs := range bySite {
+		if s := q.sources[site]; s != nil {
+			a.cfg.Cache.Prestage(q.dataset, site, s.raw, refs)
+		}
+	}
 }
 
 // process works one query's grant batch: retrieve, commit-before-fold, and
@@ -449,18 +662,20 @@ func (a *agentRun) process(ctx context.Context, q *agentQuery, js []jobs.Job) er
 // spans carrying the query's TraceID, shipped on the next poll.
 func (a *agentRun) oneJob(q *agentQuery, j jobs.Job) error {
 	cfg := a.cfg
-	src, ok := q.sources[j.Site]
+	s, ok := q.sources[j.Site]
 	if !ok {
 		return fmt.Errorf("cluster %s: no source for site %d", cfg.Name, j.Site)
 	}
-	label := sourceLabelFor(cfg.SourceLabels, cfg.Site, j.Site)
+	a.gInflight.Add(1)
 	start := a.clk.Now()
-	data, err := retrieveWithRetry(&Config{Name: cfg.Name, Retry: cfg.Retry, Logf: cfg.Logf}, src, j, a.mRetries)
+	data, err := a.retrieve(s.src, j)
 	elapsed := a.clk.Now() - start
+	a.gInflight.Add(-1)
 	if err != nil {
 		return fmt.Errorf("cluster %s: retrieving %v: %w", cfg.Name, j.Ref, err)
 	}
-	q.collector.AddRetrieval(label, elapsed, int64(len(data)))
+	q.collector.AddRetrieval(s.label, elapsed, int64(len(data)))
+	s.hRetr.Observe(elapsed)
 	if tc := a.queryTrace(q); !tc.Zero() {
 		a.addSpan(protocol.WireSpan{
 			Trace: tc, Name: "retrieve", Cat: "retrieval", TID: agentTIDRetr,
@@ -576,7 +791,7 @@ func (a *agentRun) finalize(id int) error {
 	}
 	delete(a.queries, id)
 	// The local merge and encode are the site's share of the global
-	// reduction: they count as sync time, as in cluster.Run.
+	// reduction: they count as sync time.
 	syncTimer := stats.StartTimerOn(a.clk, q.collector.AddSync)
 	obj, err := q.engine.Finish()
 	if err != nil {
@@ -631,6 +846,32 @@ func (a *agentRun) discardAll() {
 	for id := range a.queries {
 		a.discard(id)
 	}
+}
+
+// retrieve fetches one chunk under the agent's retry policy: capped
+// exponential backoff with deterministic jitter between attempts, bailing
+// out immediately on permanently-failing requests.
+func (a *agentRun) retrieve(src chunk.Source, j jobs.Job) ([]byte, error) {
+	r := a.cfg.Retry
+	bo := fault.Backoff{Base: r.backoff(), Cap: r.Cap, Seed: r.Seed}
+	attempts := r.attempts()
+	var lastErr error
+	for attempt := 1; attempt <= attempts; attempt++ {
+		if attempt > 1 {
+			a.mRetries.Inc()
+			time.Sleep(bo.Delay(attempt - 1))
+			a.cfg.Logf("cluster %s: retrying %v (attempt %d): %v", a.cfg.Name, j.Ref, attempt, lastErr)
+		}
+		data, err := src.ReadChunk(j.Ref)
+		if err == nil {
+			return data, nil
+		}
+		lastErr = err
+		if fault.IsPermanent(err) || errors.Is(err, chunk.ErrBounds) {
+			return nil, fmt.Errorf("permanent failure (no retry): %w", err)
+		}
+	}
+	return nil, fmt.Errorf("after %d attempts: %w", attempts, lastErr)
 }
 
 func sourceLabelFor(labels map[int]string, own, site int) string {

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/head"
 	"repro/internal/protocol"
@@ -30,9 +31,9 @@ type QueryClient interface {
 	Heartbeat(site int) error
 	// Checkpoint persists a per-query reduction-object checkpoint.
 	Checkpoint(cs protocol.CheckpointSave) error
-	// SubmitResult delivers one query's reduction object. Unlike the legacy
-	// blocking submit it returns as soon as the head acknowledges, so the
-	// agent keeps serving its other queries.
+	// SubmitResult delivers one query's reduction object. It returns as
+	// soon as the head acknowledges, so the agent keeps serving its other
+	// queries.
 	SubmitResult(res protocol.ReductionResult) error
 }
 
@@ -76,16 +77,43 @@ func (c InProcAgent) SubmitResult(res protocol.ReductionResult) error {
 }
 
 // RemoteAgent speaks the multi-query (proto 1) master protocol over one
-// transport connection. It shares Remote's pipelined session: the agent's
-// retrieval lanes, its poll loop and its heartbeats may all have requests
-// on the wire at once, with replies matched to callers in send order.
+// transport connection.
+//
+// The session is pipelined: the agent's retrieval lanes, its poll loop and
+// its heartbeats may all have requests on the wire at once. The head
+// answers every request exactly once, in arrival order, so replies
+// correlate by position — each caller's turn to read comes when every
+// earlier request's reply has been read. Heartbeats are fire-and-forget (no
+// reply, so no turn), matching the head's handler. The first Send or Recv
+// failure breaks the session: every queued and later caller gets that error
+// instead of waiting for a reply.
+//
+// The session starts in gob (so the Hello is readable regardless of
+// negotiation state) and advertises the binary codec in Hello.Codec; when
+// the head confirms it in SiteSpec.Codec, both directions upgrade for the
+// rest of the session. Registration is therefore the session's first
+// exchange and must complete before any concurrent request is sent.
 type RemoteAgent struct {
-	remote *Remote
+	conn *transport.Conn
+	// useGob disables the binary-codec advertisement (see SetUseGob).
+	useGob bool
+
+	// sendMu makes a request's Send and its ticket one step, so ticket
+	// order is wire order.
+	sendMu sync.Mutex
+	sent   uint64 // tickets issued; guarded by sendMu
+
+	mu     sync.Mutex
+	turn   *sync.Cond // broadcast when read advances or the session breaks
+	read   uint64     // replies consumed; ticket t reads once read == t
+	broken error      // first transport failure; sticky
 }
 
 // NewRemoteAgent wraps an established connection to the head node.
 func NewRemoteAgent(conn *transport.Conn) *RemoteAgent {
-	return &RemoteAgent{remote: NewRemote(conn)}
+	r := &RemoteAgent{conn: conn}
+	r.turn = sync.NewCond(&r.mu)
+	return r
 }
 
 // DialAgent connects a multi-query agent to the head node at addr.
@@ -97,28 +125,89 @@ func DialAgent(network, addr string) (*RemoteAgent, error) {
 	return NewRemoteAgent(conn), nil
 }
 
-// SetUseGob pins the session to the gob compat codec (see Remote.UseGob).
-func (r *RemoteAgent) SetUseGob(v bool) { r.remote.UseGob = v }
+// SetUseGob pins the whole session to the gob compat codec, for drills
+// against old heads or for bisecting codec issues (see the workernode
+// -wire-codec flag). Call it before RegisterSite.
+func (r *RemoteAgent) SetUseGob(v bool) { r.useGob = v }
 
 // Close closes the underlying connection.
-func (r *RemoteAgent) Close() error { return r.remote.conn.Close() }
+func (r *RemoteAgent) Close() error { return r.conn.Close() }
+
+// err reports the session's sticky failure, if any.
+func (r *RemoteAgent) err() error {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.broken
+}
+
+// fail breaks the session with err unless it is already broken, waking
+// every queued caller.
+func (r *RemoteAgent) fail(err error) {
+	r.mu.Lock()
+	if r.broken == nil {
+		r.broken = err
+	}
+	r.turn.Broadcast()
+	r.mu.Unlock()
+}
+
+// roundTrip sends req and returns its reply. The request goes out as soon
+// as the send side is free; the caller then waits until the replies to all
+// earlier requests have been read and reads the next one, which is its own.
+func (r *RemoteAgent) roundTrip(req protocol.Message) (protocol.Message, error) {
+	r.sendMu.Lock()
+	if err := r.err(); err != nil {
+		r.sendMu.Unlock()
+		return nil, err
+	}
+	if err := r.conn.Send(req); err != nil {
+		r.fail(err)
+		r.sendMu.Unlock()
+		return nil, err
+	}
+	ticket := r.sent
+	r.sent++
+	r.sendMu.Unlock()
+
+	r.mu.Lock()
+	for r.read != ticket && r.broken == nil {
+		r.turn.Wait()
+	}
+	if err := r.broken; err != nil {
+		r.mu.Unlock()
+		return nil, err // the session broke; no reply can be matched any more
+	}
+	r.mu.Unlock()
+	reply, err := r.conn.Recv()
+	if err != nil {
+		r.fail(err)
+		return nil, err
+	}
+	r.mu.Lock()
+	r.read++
+	r.turn.Broadcast()
+	r.mu.Unlock()
+	return reply, nil
+}
 
 // RegisterSite implements QueryClient; it also performs the wire-codec
 // negotiation, upgrading both directions when the SiteSpec confirms binary.
 func (r *RemoteAgent) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
 	hello.Proto = protocol.ProtoMulti
-	if !r.remote.UseGob {
+	if !r.useGob {
 		hello.Codec = protocol.WireBinary
 	}
-	reply, err := r.remote.roundTrip(hello)
+	reply, err := r.roundTrip(hello)
 	if err != nil {
 		return protocol.SiteSpec{}, err
 	}
 	switch m := reply.(type) {
 	case protocol.SiteSpec:
 		if m.Codec == protocol.WireBinary {
-			r.remote.conn.UpgradeSend(transport.CodecBinary)
-			r.remote.conn.UpgradeRecv(transport.CodecBinary)
+			// The head sent this SiteSpec in the old codec and switches right
+			// after; mirror it for everything that follows.
+			r.conn.UpgradeSend(transport.CodecBinary)
+			r.conn.UpgradeRecv(transport.CodecBinary)
 		}
 		return m, nil
 	case protocol.ErrorReply:
@@ -130,7 +219,7 @@ func (r *RemoteAgent) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, err
 
 // QuerySpec implements QueryClient.
 func (r *RemoteAgent) QuerySpec(site, query int) (protocol.JobSpec, error) {
-	reply, err := r.remote.roundTrip(protocol.QuerySpecRequest{Site: site, Query: query})
+	reply, err := r.roundTrip(protocol.QuerySpecRequest{Site: site, Query: query})
 	if err != nil {
 		return protocol.JobSpec{}, err
 	}
@@ -146,7 +235,7 @@ func (r *RemoteAgent) QuerySpec(site, query int) (protocol.JobSpec, error) {
 
 // Poll implements QueryClient.
 func (r *RemoteAgent) Poll(req protocol.PollRequest) (protocol.PollReply, error) {
-	reply, err := r.remote.roundTrip(req)
+	reply, err := r.roundTrip(req)
 	if err != nil {
 		return protocol.PollReply{}, err
 	}
@@ -160,9 +249,10 @@ func (r *RemoteAgent) Poll(req protocol.PollRequest) (protocol.PollReply, error)
 	}
 }
 
-// CompleteJobs implements QueryClient.
+// CompleteJobs implements QueryClient. The ack carries the IDs the head
+// deduplicated; their contribution must not be folded.
 func (r *RemoteAgent) CompleteJobs(done protocol.JobsDone) ([]int, error) {
-	reply, err := r.remote.roundTrip(done)
+	reply, err := r.roundTrip(done)
 	if err != nil {
 		return nil, err
 	}
@@ -179,19 +269,43 @@ func (r *RemoteAgent) CompleteJobs(done protocol.JobsDone) ([]int, error) {
 	}
 }
 
-// Heartbeat implements QueryClient. No reply is expected.
+// Heartbeat implements QueryClient. No reply is expected, so it takes no
+// ticket in the reply queue.
 func (r *RemoteAgent) Heartbeat(site int) error {
-	return r.remote.Heartbeat(site)
+	r.sendMu.Lock()
+	defer r.sendMu.Unlock()
+	if err := r.err(); err != nil {
+		return err
+	}
+	if err := r.conn.Send(protocol.Heartbeat{Site: site}); err != nil {
+		r.fail(err)
+		return err
+	}
+	return nil
 }
 
 // Checkpoint implements QueryClient.
 func (r *RemoteAgent) Checkpoint(cs protocol.CheckpointSave) error {
-	return r.remote.Checkpoint(cs)
+	reply, err := r.roundTrip(cs)
+	if err != nil {
+		return err
+	}
+	switch m := reply.(type) {
+	case protocol.CheckpointAck:
+		if m.Err != "" {
+			return head.CodeError(m.Code, m.Err)
+		}
+		return nil
+	case protocol.ErrorReply:
+		return head.CodeError(m.Code, m.Err)
+	default:
+		return fmt.Errorf("cluster: unexpected reply %T to CheckpointSave", reply)
+	}
 }
 
 // SubmitResult implements QueryClient.
 func (r *RemoteAgent) SubmitResult(res protocol.ReductionResult) error {
-	reply, err := r.remote.roundTrip(res)
+	reply, err := r.roundTrip(res)
 	if err != nil {
 		return err
 	}

@@ -20,7 +20,6 @@ import (
 func multiTestHead(t *testing.T, clusters int, tn config.Tuning, store fault.Store) *head.Head {
 	t.Helper()
 	h, err := head.New(head.Config{
-		Reducer:        sumReducer{},
 		ExpectClusters: clusters,
 		Logf:           t.Logf,
 		Tuning:         tn,

@@ -48,26 +48,21 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 	ix, src, want := buildDataset(t, 1000, 500, 100)
 	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
 	flaky := newFlaky(src, 2) // every chunk fails twice before succeeding
-	rep, err := Run(Config{
+	obj, reports, err := h.run(AgentConfig{
 		Site:    0,
 		Name:    "flaky",
 		Cores:   2,
 		Sources: map[int]chunk.Source{0: flaky},
-		Head:    InProc{Head: h},
 		Retry:   Retry{Attempts: 4, Backoff: time.Millisecond},
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("sum = %d, want %d", got, want)
 	}
-	if rep.Jobs.Total() != ix.NumChunks() {
-		t.Errorf("jobs = %d, want %d", rep.Jobs.Total(), ix.NumChunks())
+	if len(reports) != 1 || reports[0].Jobs.Total() != ix.NumChunks() {
+		t.Errorf("reports = %+v, want one cluster with %d jobs", reports, ix.NumChunks())
 	}
 	// Every chunk needed exactly 3 calls (2 failures + 1 success).
 	if flaky.calls != 3*ix.NumChunks() {
@@ -78,12 +73,11 @@ func TestRetryRecoversTransientFailures(t *testing.T) {
 func TestRetryExhaustionFailsRun(t *testing.T) {
 	ix, _, _ := buildDataset(t, 500, 500, 100)
 	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
-	_, err := Run(Config{
+	_, _, err := h.run(AgentConfig{
 		Site:    0,
 		Name:    "dead",
 		Cores:   1,
 		Sources: map[int]chunk.Source{0: deadSource{}},
-		Head:    InProc{Head: h},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
 	})
 	if err == nil {
@@ -114,20 +108,15 @@ func TestRetrySingleFailureInvisible(t *testing.T) {
 	ix, src, want := buildDataset(t, 500, 500, 100)
 	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
 	flaky := newFlaky(src, 1)
-	_, err := Run(Config{
+	obj, _, err := h.run(AgentConfig{
 		Site:    0,
 		Name:    "once",
 		Cores:   2,
 		Sources: map[int]chunk.Source{0: flaky},
-		Head:    InProc{Head: h},
 		Retry:   Retry{Backoff: time.Millisecond},
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("sum = %d, want %d", got, want)
@@ -158,16 +147,12 @@ func TestChecksummedRunDetectsCorruption(t *testing.T) {
 	}
 	// Clean run with verification on: succeeds with the right answer.
 	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
-	if _, err := Run(Config{
+	obj, _, err := h.run(AgentConfig{
 		Site: 0, Name: "clean", Cores: 2,
 		Sources: map[int]chunk.Source{0: src},
-		Head:    InProc{Head: h},
-	}); err != nil {
-		t.Fatalf("clean checksummed run: %v", err)
-	}
-	obj, _, _, err := h.Result()
+	})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("clean checksummed run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("sum = %d, want %d", got, want)
@@ -176,10 +161,9 @@ func TestChecksummedRunDetectsCorruption(t *testing.T) {
 	// Corrupted payload: the run must fail, not silently mis-reduce.
 	h2 := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
 	bad := corruptingSource{inner: src, target: ix.Files[0].Chunks[1]}
-	if _, err := Run(Config{
+	if _, _, err := h2.run(AgentConfig{
 		Site: 0, Name: "corrupt", Cores: 2,
 		Sources: map[int]chunk.Source{0: bad},
-		Head:    InProc{Head: h2},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
 	}); err == nil {
 		t.Fatal("corrupted run succeeded")

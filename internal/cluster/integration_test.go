@@ -1,10 +1,10 @@
 package cluster
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
-	"sync"
 	"sync/atomic"
 	"testing"
 
@@ -48,9 +48,17 @@ func init() {
 
 // buildDataset creates an index plus in-memory data whose units are
 // uint32(i % 1009), and returns the expected sum.
-func buildDataset(t *testing.T, units int64, fileUnits, chunkUnits int) (*chunk.Index, *chunk.MemSource, uint64) {
+func buildDataset(t testing.TB, units int64, fileUnits, chunkUnits int) (*chunk.Index, *chunk.MemSource, uint64) {
 	t.Helper()
-	ix, err := chunk.Layout("sum", units, 4, fileUnits, chunkUnits)
+	return buildNamedDataset(t, "sum", units, fileUnits, chunkUnits, 0)
+}
+
+// buildNamedDataset is buildDataset with a file-name prefix and an offset
+// added to every unit value, so two datasets can share a layout but not
+// their bytes.
+func buildNamedDataset(t testing.TB, prefix string, units int64, fileUnits, chunkUnits int, offset uint32) (*chunk.Index, *chunk.MemSource, uint64) {
+	t.Helper()
+	ix, err := chunk.Layout(prefix, units, 4, fileUnits, chunkUnits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +68,7 @@ func buildDataset(t *testing.T, units int64, fileUnits, chunkUnits int) (*chunk.
 	for _, f := range ix.Files {
 		buf := make([]byte, f.Size)
 		for i := 0; i < int(f.Size/4); i++ {
-			v := uint32(unit % 1009)
+			v := uint32(unit%1009) + offset
 			binary.LittleEndian.PutUint32(buf[4*i:], v)
 			want += uint64(v)
 			unit++
@@ -72,12 +80,30 @@ func buildDataset(t *testing.T, units int64, fileUnits, chunkUnits int) (*chunk.
 	return ix, src, want
 }
 
-func newHead(t *testing.T, ix *chunk.Index, placement jobs.Placement, clusters int) *head.Head {
+// singleQuery is a head serving one admitted ExpectAll query: the shape of
+// a single-query deployment (headnode + workernodes).
+type singleQuery struct {
+	*head.Head
+	q *head.Query
+}
+
+func newHead(t testing.TB, ix *chunk.Index, placement jobs.Placement, clusters int) *singleQuery {
 	return newHeadTuned(t, ix, placement, clusters, config.Tuning{})
 }
 
-func newHeadTuned(t *testing.T, ix *chunk.Index, placement jobs.Placement, clusters int, tn config.Tuning) *head.Head {
+func newHeadTuned(t testing.TB, ix *chunk.Index, placement jobs.Placement, clusters int, tn config.Tuning) *singleQuery {
 	t.Helper()
+	return newQueryHead(t, ix, placement, head.Config{ExpectClusters: clusters, Tuning: tn, Logf: t.Logf})
+}
+
+// newQueryHead builds a head from cfg and admits one ExpectAll sum query
+// over ix with the given placement.
+func newQueryHead(t testing.TB, ix *chunk.Index, placement jobs.Placement, cfg head.Config) *singleQuery {
+	t.Helper()
+	h, err := head.New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	pool, err := jobs.NewPool(ix, placement, jobs.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -86,51 +112,80 @@ func newHeadTuned(t *testing.T, ix *chunk.Index, placement jobs.Placement, clust
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        sumReducer{},
-		Spec:           spec,
-		ExpectClusters: clusters,
-		Tuning:         tn,
-		Logf:           t.Logf,
-	})
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return h
+	return &singleQuery{Head: h, q: q}
+}
+
+// run runs one agent per config until the query completes, then shuts the
+// head down and joins the agents. A config without a Head gets an
+// in-process client. It returns the query's final object and per-cluster
+// reports, or the first agent error.
+func (s *singleQuery) run(cfgs ...AgentConfig) (core.Object, []head.ClusterReport, error) {
+	errs := make(chan error, len(cfgs))
+	for _, cfg := range cfgs {
+		if cfg.Head == nil {
+			cfg.Head = InProcAgent{Head: s.Head}
+		}
+		go func(cfg AgentConfig) { errs <- RunAgent(context.Background(), cfg) }(cfg)
+	}
+	var (
+		obj     core.Object
+		reports []head.ClusterReport
+		err     error
+		joined  int
+	)
+	select {
+	case <-s.q.Done():
+		obj, reports, _, err = s.q.Wait(context.Background())
+	case err = <-errs: // an agent failed before the query completed
+		joined++
+	}
+	s.Shutdown()
+	for ; joined < len(cfgs); joined++ {
+		if aerr := <-errs; aerr != nil && err == nil {
+			err = aerr
+		}
+	}
+	return obj, reports, err
 }
 
 func TestSingleClusterInProc(t *testing.T) {
 	ix, src, want := buildDataset(t, 4000, 1000, 100)
 	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 1, 0, 1), 1)
-	rep, err := Run(Config{
+	obj, reports, err := h.run(AgentConfig{
 		Site:    0,
 		Name:    "local",
 		Cores:   4,
 		Sources: map[int]chunk.Source{0: src},
-		Head:    InProc{Head: h},
 		Logf:    t.Logf,
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	obj, reports, _, err := h.Result()
-	if err != nil {
-		t.Fatalf("Result: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("final sum = %d, want %d", got, want)
 	}
-	final, err := sumReducer{}.Decode(rep.Final)
-	if err != nil || final.(*sumObj).total != want {
-		t.Errorf("cluster's copy of final = %v, %v", final, err)
-	}
 	if len(reports) != 1 || reports[0].Jobs.Total() != ix.NumChunks() {
 		t.Errorf("reports = %+v", reports)
 	}
-	if rep.Jobs.Stolen != 0 {
-		t.Errorf("single local cluster stole %d jobs", rep.Jobs.Stolen)
+	if reports[0].Jobs.Stolen != 0 {
+		t.Errorf("single local cluster stole %d jobs", reports[0].Jobs.Stolen)
 	}
+}
+
+// countingSource adds every byte it serves to n.
+type countingSource struct {
+	chunk.Source
+	n *atomic.Int64
+}
+
+func (c countingSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
+	data, err := c.Source.ReadChunk(ref)
+	c.n.Add(int64(len(data)))
+	return data, err
 }
 
 // readHook runs before on every read.
@@ -164,42 +219,27 @@ func TestHybridTwoClustersInProc(t *testing.T) {
 		}
 	}}
 	cloudSrc := gatedSource{Source: src, open: cloudGate}
-	var wg sync.WaitGroup
-	reports := make([]*Report, 2)
-	errs := make([]error, 2)
-	for i, cfg := range []Config{
-		{Site: 0, Name: "local", Cores: 2, Sources: map[int]chunk.Source{0: localSrc, 1: localSrc}, Head: InProc{Head: h}},
-		{Site: 1, Name: "cloud", Cores: 2, Sources: map[int]chunk.Source{0: cloudSrc, 1: cloudSrc}, Head: InProc{Head: h}},
-	} {
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			reports[i], errs[i] = Run(cfg)
-		}(i, cfg)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cluster %d: %v", i, err)
-		}
-	}
-	obj, hreports, _, err := h.Result()
+	obj, hreports, err := h.run(
+		AgentConfig{Site: 0, Name: "local", Cores: 2, Sources: map[int]chunk.Source{0: localSrc, 1: localSrc}},
+		AgentConfig{Site: 1, Name: "cloud", Cores: 2, Sources: map[int]chunk.Source{0: cloudSrc, 1: cloudSrc}},
+	)
 	if err != nil {
-		t.Fatalf("Result: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("final sum = %d, want %d", got, want)
 	}
-	total := 0
+	total, stolen := 0, 0
 	for _, r := range hreports {
 		total += r.Jobs.Total()
+		stolen += r.Jobs.Stolen
 	}
 	if total != ix.NumChunks() {
 		t.Errorf("clusters processed %d jobs, dataset has %d", total, ix.NumChunks())
 	}
 	// With a 25/75 split and symmetric compute, at least one side works on
 	// remote data.
-	if reports[0].Jobs.Stolen+reports[1].Jobs.Stolen == 0 {
+	if stolen == 0 {
 		t.Error("no stealing despite skewed placement")
 	}
 }
@@ -233,86 +273,65 @@ func TestHybridOverSockets(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	runCluster := func(site int, name string) (*Report, error) {
-		hc, err := DialHead("tcp", hl.Addr().String())
+	var bytes atomic.Int64
+	cfgs := make([]AgentConfig, 2)
+	for site := range cfgs {
+		ra, err := DialAgent("tcp", hl.Addr().String())
 		if err != nil {
-			return nil, err
+			t.Fatal(err)
 		}
-		defer hc.Close()
-		return Run(Config{
+		defer ra.Close()
+		cfgs[site] = AgentConfig{
 			Site:             site,
-			Name:             name,
+			Name:             fmt.Sprintf("c%d", site),
 			Cores:            2,
 			RetrievalThreads: 3,
-			Head:             hc,
+			Head:             ra,
 			SourceBuilder: func(ix *chunk.Index) (map[int]chunk.Source, error) {
 				return map[int]chunk.Source{
-					0: src, // cluster-local storage node
-					1: &objstore.Source{Client: osc, Index: ix, Threads: 2},
+					0: countingSource{src, &bytes}, // cluster-local storage node
+					1: countingSource{&objstore.Source{Client: osc, Index: ix, Threads: 2}, &bytes},
 				}, nil
 			},
 			SourceLabels: map[int]string{0: "local", 1: "s3"},
-		})
-	}
-
-	var wg sync.WaitGroup
-	reports := make([]*Report, 2)
-	errs := make([]error, 2)
-	for i, site := range []int{0, 1} {
-		wg.Add(1)
-		go func(i, site int) {
-			defer wg.Done()
-			reports[i], errs[i] = runCluster(site, fmt.Sprintf("c%d", site))
-		}(i, site)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cluster %d: %v", i, err)
 		}
 	}
-	obj, _, _, err := h.Result()
+	obj, _, err := h.run(cfgs...)
 	if err != nil {
-		t.Fatalf("Result: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("final sum = %d, want %d", got, want)
 	}
 	// Byte accounting: both clusters together must have read the dataset
 	// exactly once.
-	var bytes int64
-	for _, r := range reports {
-		for _, n := range r.Bytes {
-			bytes += n
-		}
-	}
-	if bytes != ix.TotalBytes() {
+	if bytes := bytes.Load(); bytes != ix.TotalBytes() {
 		t.Errorf("clusters retrieved %d bytes, dataset is %d", bytes, ix.TotalBytes())
 	}
 }
 
 func TestRunConfigValidation(t *testing.T) {
-	if _, err := Run(Config{}); err == nil {
+	ctx := context.Background()
+	if err := RunAgent(ctx, AgentConfig{}); err == nil {
 		t.Error("empty config accepted")
 	}
-	if _, err := Run(Config{Cores: 1}); err == nil {
+	if err := RunAgent(ctx, AgentConfig{Cores: 1}); err == nil {
 		t.Error("missing head accepted")
 	}
-	ix, src, _ := buildDataset(t, 100, 100, 10)
+	ix, _, _ := buildDataset(t, 100, 100, 10)
 	h := newHead(t, ix, jobs.SplitByFraction(1, 1, 0, 1), 1)
-	if _, err := Run(Config{Cores: 1, Head: InProc{Head: h}}); err == nil {
+	if err := RunAgent(ctx, AgentConfig{Cores: 1, Head: InProcAgent{Head: h.Head}}); err == nil {
 		t.Error("missing sources accepted")
 	}
-	_ = src
 }
 
 func TestHeadRejectsExtraClusters(t *testing.T) {
 	ix, _, _ := buildDataset(t, 100, 100, 10)
 	h := newHead(t, ix, jobs.SplitByFraction(1, 1, 0, 1), 1)
-	if _, err := h.Register(protocol.Hello{Site: 0}); err != nil {
+	if _, err := h.RegisterSite(protocol.Hello{Site: 0}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1}); err == nil {
+	if _, err := h.RegisterSite(protocol.Hello{Site: 1}); err == nil {
 		t.Error("over-registration accepted")
 	}
 }
@@ -327,14 +346,17 @@ func TestUnknownReducerInSpec(t *testing.T) {
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	h, err := head.New(head.Config{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectClusters: 1})
+	h, err := head.New(head.Config{ExpectClusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Run(Config{
+	if _, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true}); err != nil {
+		t.Fatal(err)
+	}
+	if err := RunAgent(context.Background(), AgentConfig{
 		Site: 0, Name: "x", Cores: 1,
 		Sources: map[int]chunk.Source{0: src},
-		Head:    InProc{Head: h},
+		Head:    InProcAgent{Head: h},
 	}); err == nil {
 		t.Error("unknown reducer accepted")
 	}
@@ -385,25 +407,26 @@ func TestHybridOverSocketsCodecs(t *testing.T) {
 			}
 			up.Close()
 
-			runCluster := func(site int, useGob bool) (*Report, error) {
-				hc, err := DialHead("tcp", hl.Addr().String())
+			cfgs := make([]AgentConfig, 2)
+			for site, useGob := range tc.useGob {
+				ra, err := DialAgent("tcp", hl.Addr().String())
 				if err != nil {
-					return nil, err
+					t.Fatal(err)
 				}
-				hc.UseGob = useGob
-				defer hc.Close()
+				ra.SetUseGob(useGob)
+				defer ra.Close()
 				codec := transport.CodecBinary
 				if useGob {
 					codec = transport.CodecGob
 				}
 				osc := objstore.DialCodec("tcp", sl.Addr().String(), 4, codec)
 				defer osc.Close()
-				return Run(Config{
+				cfgs[site] = AgentConfig{
 					Site:             site,
 					Name:             fmt.Sprintf("c%d", site),
 					Cores:            2,
 					RetrievalThreads: 2,
-					Head:             hc,
+					Head:             ra,
 					SourceBuilder: func(ix *chunk.Index) (map[int]chunk.Source, error) {
 						return map[int]chunk.Source{
 							0: src,
@@ -411,27 +434,11 @@ func TestHybridOverSocketsCodecs(t *testing.T) {
 						}, nil
 					},
 					SourceLabels: map[int]string{0: "local", 1: "s3"},
-				})
-			}
-
-			var wg sync.WaitGroup
-			errs := make([]error, 2)
-			for i, site := range []int{0, 1} {
-				wg.Add(1)
-				go func(i, site int) {
-					defer wg.Done()
-					_, errs[i] = runCluster(site, tc.useGob[i])
-				}(i, site)
-			}
-			wg.Wait()
-			for i, err := range errs {
-				if err != nil {
-					t.Fatalf("cluster %d: %v", i, err)
 				}
 			}
-			obj, _, _, err := h.Result()
+			obj, _, err := h.run(cfgs...)
 			if err != nil {
-				t.Fatalf("Result: %v", err)
+				t.Fatalf("run: %v", err)
 			}
 			if got := obj.(*sumObj).total; got != want {
 				t.Errorf("final sum = %d, want %d", got, want)

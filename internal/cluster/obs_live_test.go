@@ -3,7 +3,6 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
-	"sync"
 	"testing"
 
 	"repro/internal/chunk"
@@ -14,9 +13,10 @@ import (
 )
 
 // TestLiveObservability runs a two-cluster hybrid job in-process with one
-// shared Obs attached to the head, the pool, and both clusters, then checks
-// that the metrics registry and the trace agree with the run's ground truth.
-// This is the live (wall-clock) counterpart of the simulator trace tests.
+// shared Obs attached to the head, the pool, and both agents, then checks
+// that the metrics registry and the merged trace agree with the run's ground
+// truth. This is the live (wall-clock) counterpart of the simulator trace
+// tests.
 func TestLiveObservability(t *testing.T) {
 	ix, src, want := buildDataset(t, 8000, 1000, 100) // 8 files × 10 chunks
 	placement := jobs.SplitByFraction(len(ix.Files), 0.25, 0, 1)
@@ -32,39 +32,20 @@ func TestLiveObservability(t *testing.T) {
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        sumReducer{},
-		Spec:           spec,
-		ExpectClusters: 2,
-		Logf:           t.Logf,
-		Obs:            o,
-	})
+	h, err := head.New(head.Config{ExpectClusters: 2, Logf: t.Logf, Obs: o})
+	if err != nil {
+		t.Fatal(err)
+	}
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 
 	sources := map[int]chunk.Source{0: src, 1: src}
-	var wg sync.WaitGroup
-	reports := make([]*Report, 2)
-	errs := make([]error, 2)
-	for i, cfg := range []Config{
-		{Site: 0, Name: "local", Cores: 2, Sources: sources, Head: InProc{Head: h}, Obs: o},
-		{Site: 1, Name: "cloud", Cores: 2, Sources: sources, Head: InProc{Head: h}, Obs: o},
-	} {
-		wg.Add(1)
-		go func(i int, cfg Config) {
-			defer wg.Done()
-			reports[i], errs[i] = Run(cfg)
-		}(i, cfg)
-	}
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("cluster %d: %v", i, err)
-		}
-	}
-	obj, _, _, err := h.Result()
+	obj, reports, err := (&singleQuery{Head: h, q: q}).run(
+		AgentConfig{Site: 0, Name: "local", Cores: 2, Sources: sources, Obs: o},
+		AgentConfig{Site: 1, Name: "cloud", Cores: 2, Sources: sources, Obs: o},
+	)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -100,17 +81,20 @@ func TestLiveObservability(t *testing.T) {
 			t.Errorf("%s = %d, want %d", c.name, c.got, c.want)
 		}
 	}
+	// One retrieval observation per job, under each source's label: a
+	// cluster's own site reads as "local", the other as "site<N>".
 	hists := int64(0)
 	for _, lbl := range []string{"local", "site0", "site1"} {
-		hists += reg.Histogram("cluster_retrieval_seconds_"+lbl, nil).Count()
+		hists += reg.Histogram("cluster_retrieval_seconds", nil, "source", lbl).Count()
 	}
 	if hists != nJobs {
 		t.Errorf("retrieval histogram observations = %d, want %d", hists, nJobs)
 	}
 
-	// Trace: one retrieval span per job, merge + global-reduction-wait spans
-	// per cluster, and the whole thing exports as valid Chrome trace JSON.
-	var retrSpans, mergeSpans, waitSpans, grants int
+	// Trace: the agents' per-job retrieval spans merged into the head's
+	// trace, one merge span per cluster result, and the whole thing exports
+	// as valid Chrome trace JSON.
+	var retrSpans, mergeSpans, grants int
 	for _, ev := range o.Tracer.Events() {
 		if ev.Phase != 'X' {
 			continue
@@ -118,10 +102,8 @@ func TestLiveObservability(t *testing.T) {
 		switch {
 		case ev.Cat == "retrieval":
 			retrSpans++
-		case ev.Cat == "sync" && ev.Name == "local-merge":
+		case ev.Cat == "sync" && ev.Name == "merge-robj":
 			mergeSpans++
-		case ev.Cat == "sync" && ev.Name == "global-reduction-wait":
-			waitSpans++
 		case ev.Cat == "scheduling" && ev.Name == "request-jobs":
 			grants++
 		}
@@ -129,8 +111,8 @@ func TestLiveObservability(t *testing.T) {
 	if retrSpans != int(nJobs) {
 		t.Errorf("retrieval spans = %d, want %d", retrSpans, nJobs)
 	}
-	if mergeSpans != 2 || waitSpans != 2 {
-		t.Errorf("merge spans = %d, wait spans = %d, want 2 each", mergeSpans, waitSpans)
+	if mergeSpans != 2 {
+		t.Errorf("merge spans = %d, want 2", mergeSpans)
 	}
 	if grants == 0 {
 		t.Error("no request-jobs spans on the head track")

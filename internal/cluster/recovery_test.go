@@ -2,12 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"repro/internal/chunk"
 	"repro/internal/config"
+	"repro/internal/core"
 	"repro/internal/fault"
 	"repro/internal/head"
 	"repro/internal/jobs"
@@ -16,29 +19,24 @@ import (
 
 // newFaultHead is newHead plus a fault configuration: a checkpoint store and
 // the lease TTL (zero disables expiry-driven failure detection).
-func newFaultHead(t *testing.T, ix *chunk.Index, placement jobs.Placement, clusters int, store fault.Store, ttl time.Duration) *head.Head {
+func newFaultHead(t *testing.T, ix *chunk.Index, placement jobs.Placement, clusters int, store fault.Store, ttl time.Duration) *singleQuery {
 	t.Helper()
-	pool, err := jobs.NewPool(ix, placement, jobs.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
-	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
-		t.Fatal(err)
-	}
-	h, err := head.New(head.Config{
-		Pool:           pool,
-		Reducer:        sumReducer{},
-		Spec:           spec,
+	return newQueryHead(t, ix, placement, head.Config{
 		ExpectClusters: clusters,
 		Logf:           t.Logf,
 		Tuning:         config.Tuning{LeaseTTL: ttl},
 		Fault:          head.FaultConfig{Store: store},
 	})
-	if err != nil {
-		t.Fatal(err)
+}
+
+// siteJobs returns the job count a query's report credits to site.
+func siteJobs(reports []head.ClusterReport, site int) int {
+	for _, r := range reports {
+		if r.Site == site {
+			return r.Jobs.Total()
+		}
 	}
-	return h
+	return 0
 }
 
 // TestWorkerCrashRecoveryByteIdentical is the live-mode end-to-end recovery
@@ -51,11 +49,9 @@ func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
 
 	// Reference: failure-free run.
-	refHead := newHead(t, ix, placement, 1)
-	refRep, err := Run(Config{
+	refObj, _, err := newHead(t, ix, placement, 1).run(AgentConfig{
 		Site: 0, Name: "ref", Cores: 2,
 		Sources: map[int]chunk.Source{0: src},
-		Head:    InProc{Head: refHead},
 	})
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
@@ -64,36 +60,34 @@ func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	// Faulty run: the data path dies after 12 successful chunk reads.
 	h := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), 0)
 	inj := &fault.Injector{Source: src, KillAfter: 12}
-	cfg := Config{
+	cfg := AgentConfig{
 		Site: 0, Name: "doomed", Cores: 2,
 		Sources: map[int]chunk.Source{0: inj},
-		Head:    InProc{Head: h},
+		Head:    InProcAgent{Head: h.Head},
 		Tuning:  config.Tuning{CheckpointEveryJobs: 5},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
 		Logf:    t.Logf,
 	}
-	if _, err := Run(cfg); err == nil {
+	if err := RunAgent(context.Background(), cfg); err == nil {
 		t.Fatal("killed worker's run succeeded")
 	}
 
-	// The replacement worker: fresh data path, same site. Registration hands
-	// it the last checkpoint; it must not re-fold covered jobs.
+	// The replacement worker: fresh data path, same site. Its query spec
+	// hands it the last checkpoint; it must not re-fold covered jobs.
 	inj.Arm()
-	rep, err := Run(cfg)
+	obj, reports, err := h.run(cfg)
 	if err != nil {
 		t.Fatalf("restarted run: %v", err)
 	}
-	if !bytes.Equal(rep.Final, refRep.Final) {
-		t.Errorf("final object differs after recovery: %x vs %x", rep.Final, refRep.Final)
+	final, _ := sumReducer{}.Encode(obj)
+	refFinal, _ := sumReducer{}.Encode(refObj)
+	if !bytes.Equal(final, refFinal) {
+		t.Errorf("final object differs after recovery: %x vs %x", final, refFinal)
 	}
 	// At least two checkpoints (after folds 5 and 10) were shipped before
 	// the crash, so the replacement processes at most 30 of the 40 jobs.
-	if rep.Jobs.Total() > 30 {
-		t.Errorf("replacement processed %d jobs; checkpoint resume should cap it at 30", rep.Jobs.Total())
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
+	if n := siteJobs(reports, 0); n > 30 {
+		t.Errorf("replacement processed %d jobs; checkpoint resume should cap it at 30", n)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("recovered sum = %d, want %d", got, want)
@@ -120,53 +114,58 @@ func (f *fencingSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
 	return f.Source.ReadChunk(ref)
 }
 
+// registerCounter counts RegisterSite calls through to the wrapped client.
+type registerCounter struct {
+	QueryClient
+	n atomic.Int32
+}
+
+func (r *registerCounter) RegisterSite(hello protocol.Hello) (protocol.SiteSpec, error) {
+	r.n.Add(1)
+	return r.QueryClient.RegisterSite(hello)
+}
+
 // TestFencedMasterFailsFastAndRejoins declares a site failed while its
-// master is alive and mid-run. The fenced incarnation must abort with a
-// fencing error instead of hanging on wait=true polls or silently
-// double-counting, and a restarted incarnation must re-register and produce
-// the exact failure-free result.
+// agent is alive and mid-run. The fenced incarnation must drop its work
+// instead of hanging on wait=true polls or silently double-counting, then
+// re-register exactly once, resume from the last accepted checkpoint and
+// produce the exact failure-free result.
 func TestFencedMasterFailsFastAndRejoins(t *testing.T) {
 	ix, src, want := buildDataset(t, 4000, 1000, 100) // 40 jobs
 	placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
 	// Expiry never fires on its own (1h TTL); the test fences explicitly.
 	h := newFaultHead(t, ix, placement, 1, fault.NewMemStore(), time.Hour)
 	fsrc := &fencingSource{Source: src, after: 12, fence: func() { h.FailSite(0) }}
-	cfg := Config{
-		Site: 0, Name: "straggler", Cores: 2,
-		Sources: map[int]chunk.Source{0: fsrc},
-		Head:    InProc{Head: h},
-		Tuning:  config.Tuning{CheckpointEveryJobs: 5},
-		Logf:    t.Logf,
-	}
-	done := make(chan error, 1)
+	client := &registerCounter{QueryClient: InProcAgent{Head: h.Head}}
+	done := make(chan struct{})
+	var (
+		obj core.Object
+		err error
+	)
 	go func() {
-		_, err := Run(cfg)
-		done <- err
+		defer close(done)
+		obj, _, err = h.run(AgentConfig{
+			Site: 0, Name: "straggler", Cores: 2,
+			Sources: map[int]chunk.Source{0: fsrc},
+			Head:    client,
+			Tuning:  config.Tuning{CheckpointEveryJobs: 5},
+			Logf:    t.Logf,
+		})
 	}()
 	select {
-	case err := <-done:
-		if !fault.IsFenced(err) {
-			t.Fatalf("fenced master returned %v, want a fencing error", err)
-		}
+	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("fenced master hung instead of failing fast")
+		h.Shutdown()
+		t.Fatal("fenced agent hung instead of rejoining")
 	}
-
-	// The replacement re-registers, resumes from the last accepted
-	// checkpoint, and finishes the run with the failure-free answer.
-	rep, err := Run(cfg)
 	if err != nil {
 		t.Fatalf("rejoined run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("sum after fencing = %d, want %d", got, want)
 	}
-	if bytes.Equal(rep.Final, nil) {
-		t.Error("no final object returned")
+	if n := client.n.Load(); n != 2 {
+		t.Errorf("agent registered %d times, want 2 (once more after the fence)", n)
 	}
 }
 
@@ -201,41 +200,35 @@ func TestCrashRestartWithTwoClusters(t *testing.T) {
 	gated := gatedSource{Source: src, open: doomedDied}
 	sources := map[int]chunk.Source{0: gated, 1: gated}
 	inj := &fault.Injector{Source: src, KillAfter: 8}
-	doomed := Config{
+	doomed := AgentConfig{
 		Site: 0, Name: "doomed", Cores: 2,
 		Sources: map[int]chunk.Source{0: inj, 1: inj},
-		Head:    InProc{Head: h},
+		Head:    InProcAgent{Head: h.Head},
 		Tuning:  config.Tuning{CheckpointEveryJobs: 4},
 		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
 	}
-	healthy := Config{
+	healthy := AgentConfig{
 		Site: 1, Name: "healthy", Cores: 2,
 		Sources: sources,
-		Head:    InProc{Head: h},
+		Head:    InProcAgent{Head: h.Head},
 	}
 
 	healthyDone := make(chan error, 1)
-	go func() {
-		_, err := Run(healthy)
-		healthyDone <- err
-	}()
+	go func() { healthyDone <- RunAgent(context.Background(), healthy) }()
 
 	// First incarnation dies, replacement resumes from its checkpoint.
-	_, err := Run(doomed)
+	err := RunAgent(context.Background(), doomed)
 	close(doomedDied)
 	if err == nil {
 		t.Fatal("killed cluster's run succeeded")
 	}
 	inj.Arm()
-	if _, err := Run(doomed); err != nil {
+	obj, _, err := h.run(doomed)
+	if err != nil {
 		t.Fatalf("restarted cluster: %v", err)
 	}
 	if err := <-healthyDone; err != nil {
 		t.Fatalf("healthy cluster: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("sum = %d, want %d", got, want)

@@ -60,21 +60,16 @@ func runWithCache(t *testing.T, cache *stagecache.Cache) uint64 {
 	t.Helper()
 	ix, src, want := buildDataset(t, 4000, 1000, 100)
 	h := newHead(t, ix, jobs.SplitByFraction(len(ix.Files), 0.5, 0, 1), 1)
-	_, err := Run(Config{
+	obj, _, err := h.run(AgentConfig{
 		Site:    1,
 		Name:    "cloud",
 		Cores:   4,
 		Sources: map[int]chunk.Source{0: src, 1: src},
 		Cache:   cache,
-		Head:    InProc{Head: h},
 		Logf:    t.Logf,
 	})
 	if err != nil {
-		t.Fatalf("Run: %v", err)
-	}
-	obj, _, _, err := h.Result()
-	if err != nil {
-		t.Fatalf("Result: %v", err)
+		t.Fatalf("run: %v", err)
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("final sum = %d, want %d", got, want)

@@ -350,11 +350,12 @@ func (h *Head) CheckpointSave(cs protocol.CheckpointSave) error {
 	h.Heartbeat(cs.Site)
 	h.mu.Lock()
 	q := h.queries[cs.Query]
+	canceled := q != nil && q.canceled
 	h.mu.Unlock()
 	if q == nil {
 		return opErr("checkpoint", cs.Site, cs.Query, ErrUnknownQuery)
 	}
-	if q.canceled {
+	if canceled {
 		return opErr("checkpoint", cs.Site, cs.Query, ErrQueryCanceled)
 	}
 	ck, err := fault.DecodeCheckpoint(cs.Data)

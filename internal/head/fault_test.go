@@ -54,7 +54,6 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 		}
 	}
 	h, err := New(Config{
-		Pool: pool, Reducer: sumReducer{}, Spec: spec,
 		ExpectClusters: clusters, Logf: logf,
 		Tuning: config.Tuning{LeaseTTL: fo.LeaseTTL, SpeculateAfter: fo.SpeculateAfter,
 			StragglerFactor: fo.StragglerFactor, WatchdogMinSamples: fo.WatchdogMinSamples},
@@ -62,6 +61,9 @@ func testFaultHead(t *testing.T, clusters int, fo faultOpts) (*Head, *jobs.Pool)
 		Obs:   fo.Obs,
 	})
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true}); err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() {
@@ -88,10 +90,10 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 
 func TestLeaseExpiryRequeuesInFlight(t *testing.T) {
 	h, pool := testFaultHead(t, 2, faultOpts{LeaseTTL: 40 * time.Millisecond})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	js, _, _ := reqJobs(h, 0, 3)
@@ -123,7 +125,7 @@ func TestLeaseExpiryRequeuesInFlight(t *testing.T) {
 
 func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 	h, pool := testFaultHead(t, 1, faultOpts{LeaseTTL: 60 * time.Millisecond})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	js, _, _ := reqJobs(h, 0, 2)
@@ -142,14 +144,14 @@ func TestHeartbeatKeepsLeaseAlive(t *testing.T) {
 func TestCheckpointSaveAndPrune(t *testing.T) {
 	store := fault.NewMemStore()
 	h, pool := testFaultHead(t, 1, faultOpts{Store: store})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	js, _, _ := reqJobs(h, 0, 4)
 	if len(js) != 4 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if _, err := h.CompleteJobs(0, js); err != nil {
+	if _, err := h.CompleteQueryJobs(0, 0, js); err != nil {
 		t.Fatal(err)
 	}
 
@@ -193,11 +195,11 @@ func TestCheckpointWithoutStoreRejected(t *testing.T) {
 func TestReregistrationRecoversFromCheckpoint(t *testing.T) {
 	store := fault.NewMemStore()
 	h, pool := testFaultHead(t, 1, faultOpts{Store: store, LeaseTTL: time.Hour})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	js, _, _ := reqJobs(h, 0, 4)
-	if _, err := h.CompleteJobs(0, js); err != nil {
+	if _, err := h.CompleteQueryJobs(0, 0, js); err != nil {
 		t.Fatal(err)
 	}
 	ids := make([]int, len(js))
@@ -214,7 +216,7 @@ func TestReregistrationRecoversFromCheckpoint(t *testing.T) {
 	if len(more) != 2 {
 		t.Fatalf("granted %d", len(more))
 	}
-	spec, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"})
+	spec, err := register(h, protocol.Hello{Site: 0, Cluster: "a"})
 	if err != nil {
 		t.Fatalf("re-registration rejected: %v", err)
 	}
@@ -233,11 +235,11 @@ func TestReregistrationRecoversFromCheckpoint(t *testing.T) {
 
 func TestFreshRegistrationStillLimited(t *testing.T) {
 	h, _ := testFaultHead(t, 1, faultOpts{LeaseTTL: time.Hour})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
 	// A different site over capacity is still rejected even with faults on.
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
+	if _, err := register(h, protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
 		t.Error("over-registration accepted with fault tolerance enabled")
 	}
 }
@@ -252,17 +254,17 @@ func TestFreshRegistrationStillLimited(t *testing.T) {
 func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	store := fault.NewMemStore()
 	h, pool := testFaultHead(t, 2, faultOpts{Store: store, LeaseTTL: time.Hour})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	js, _, _ := reqJobs(h, 0, 4)
 	if len(js) != 4 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if _, err := h.CompleteJobs(0, js); err != nil {
+	if _, err := h.CompleteQueryJobs(0, 0, js); err != nil {
 		t.Fatal(err)
 	}
 	// Failure detector fires while site 0 is in fact still alive: its 4
@@ -272,7 +274,7 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	if _, _, err := reqJobs(h, 0, 4); !fault.IsFenced(err) {
 		t.Errorf("RequestJobs from fenced site: err = %v, want fenced", err)
 	}
-	if _, err := h.CompleteJobs(0, js); !fault.IsFenced(err) {
+	if _, err := h.CompleteQueryJobs(0, 0, js); !fault.IsFenced(err) {
 		t.Errorf("CompleteJobs from fenced site: err = %v, want fenced", err)
 	}
 	ck := fault.Checkpoint{Site: 0, Seq: 1, Object: encodeSum(7), Completed: []int{js[0].ID}}
@@ -300,7 +302,7 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 			}
 			break
 		}
-		if _, err := h.CompleteJobs(1, got); err != nil {
+		if _, err := h.CompleteQueryJobs(0, 1, got); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -308,37 +310,35 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 		t.Fatal("pool not drained by survivor")
 	}
 
-	survivor := make(chan error, 1)
-	go func() {
-		_, err := h.SubmitResult(protocol.ReductionResult{Site: 1, Object: encodeSum(42)})
-		survivor <- err
-	}()
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: encodeSum(42)}); err != nil {
+		t.Fatal(err)
+	}
 	// The fenced incarnation's object holds the very folds the survivor
 	// recomputed; merging it would double-count them.
-	if _, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(999)}); !fault.IsFenced(err) {
-		t.Fatalf("SubmitResult from fenced site: err = %v, want fenced", err)
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(999)}); !fault.IsFenced(err) {
+		t.Fatalf("SubmitQueryResult from fenced site: err = %v, want fenced", err)
 	}
+	h.mu.Lock()
+	q := h.queries[0]
+	h.mu.Unlock()
 	select {
-	case err := <-survivor:
-		t.Fatalf("survivor released by fenced submit (err=%v)", err)
+	case <-q.Done():
+		t.Fatal("query completed by a fenced submit")
 	case <-time.After(20 * time.Millisecond):
 	}
 
 	// Re-registration revives the site; with no checkpoint it contributes
 	// nothing it hasn't re-earned — here, the identity object.
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatalf("re-registration: %v", err)
 	}
 	if _, wait, err := reqJobs(h, 0, 4); err != nil || wait {
 		t.Fatalf("revived RequestJobs: wait=%v err=%v", wait, err)
 	}
-	if _, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(0)}); err != nil {
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(0)}); err != nil {
 		t.Fatalf("revived submit: %v", err)
 	}
-	if err := <-survivor; err != nil {
-		t.Fatal(err)
-	}
-	obj, _, _, err := h.Result()
+	obj, _, _, err := wait0(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,12 +347,74 @@ func TestFencedSiteRejectedUntilReregister(t *testing.T) {
 	}
 }
 
-func TestSpeculationDuplicatesStragglers(t *testing.T) {
-	h, pool := testFaultHead(t, 2, faultOpts{SpeculateAfter: 30 * time.Millisecond})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+// TestSubmitFenceRaceDrill fails a site between SubmitQueryResult's fence
+// check and its merge. The result must then be refused as fenced: FailSite
+// has already reissued the site's un-checkpointed jobs, so merging the
+// object as well would count those jobs twice.
+func TestSubmitFenceRaceDrill(t *testing.T) {
+	h, pool := testFaultHead(t, 2, faultOpts{Store: fault.NewMemStore(), LeaseTTL: time.Hour})
+	for site, name := range []string{"a", "b"} {
+		if _, err := register(h, protocol.Hello{Site: site, Cluster: name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// Site 0 folds 4 jobs without a checkpoint; site 1 takes the rest.
+	js, _, _ := reqJobs(h, 0, 4)
+	if _, err := h.CompleteQueryJobs(0, 0, js); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
+	rest, _, _ := reqJobs(h, 1, 100)
+	if _, err := h.CompleteQueryJobs(0, 1, rest); err != nil {
+		t.Fatal(err)
+	}
+
+	var fired bool
+	h.submitHook = func(site int) {
+		if site == 0 && !fired {
+			fired = true
+			h.FailSite(0) // the failure lands after the fence check passed
+		}
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(100)}); !fault.IsFenced(err) {
+		t.Fatalf("submit racing its site's failure: err = %v, want fenced", err)
+	}
+	if !fired {
+		t.Fatal("drill hook never ran")
+	}
+	if got := pool.Remaining(); got != len(js) {
+		t.Fatalf("remaining = %d, want the %d reissued jobs", got, len(js))
+	}
+
+	// The survivor recomputes the reissued jobs; the restarted site 0 owes
+	// only the identity object.
+	again, _, _ := reqJobs(h, 1, 100)
+	if _, err := h.CompleteQueryJobs(0, 1, again); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: encodeSum(42)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(0)}); err != nil {
+		t.Fatal(err)
+	}
+	obj, _, _, err := wait0(h)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := obj.(*sumObj).total; got != 42 {
+		t.Errorf("final = %d, want 42 (the fenced result must not merge)", got)
+	}
+}
+
+func TestSpeculationDuplicatesStragglers(t *testing.T) {
+	h, pool := testFaultHead(t, 2, faultOpts{SpeculateAfter: 30 * time.Millisecond})
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := register(h, protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
 		t.Fatal(err)
 	}
 	// Site 0 takes the entire pool and then stalls on its last 2 jobs.
@@ -360,7 +422,7 @@ func TestSpeculationDuplicatesStragglers(t *testing.T) {
 	if len(js) != 10 {
 		t.Fatalf("granted %d", len(js))
 	}
-	if dups, err := h.CompleteJobs(0, js[:8]); err != nil || len(dups) != 0 {
+	if dups, err := h.CompleteQueryJobs(0, 0, js[:8]); err != nil || len(dups) != 0 {
 		t.Fatalf("completing head of pool: dups=%v err=%v", dups, err)
 	}
 	// An empty grant while stragglers are outstanding must say "poll again".
@@ -374,10 +436,10 @@ func TestSpeculationDuplicatesStragglers(t *testing.T) {
 		return len(spec) == 2
 	})
 	// Site 1's copies land first; the original site's commits become dups.
-	if dups, err := h.CompleteJobs(1, spec); err != nil || len(dups) != 0 {
+	if dups, err := h.CompleteQueryJobs(0, 1, spec); err != nil || len(dups) != 0 {
 		t.Fatalf("speculative commit: dups=%v err=%v", dups, err)
 	}
-	dups, err := h.CompleteJobs(0, js[8:])
+	dups, err := h.CompleteQueryJobs(0, 0, js[8:])
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -406,10 +468,10 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		WatchdogMinSamples: 2,
 		Obs:                o,
 	})
-	if _, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 0, Cluster: "a"}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
+	if _, err := register(h, protocol.Hello{Site: 1, Cluster: "b"}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -419,7 +481,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		if err != nil || len(js) == 0 {
 			t.Fatalf("healthy grant: %d jobs, err=%v", len(js), err)
 		}
-		if _, err := h.CompleteJobs(1, js); err != nil {
+		if _, err := h.CompleteQueryJobs(0, 1, js); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -431,7 +493,7 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 		t.Fatalf("slow grant: %d jobs, err=%v", len(slow), err)
 	}
 	time.Sleep(30 * time.Millisecond)
-	if _, err := h.CompleteJobs(0, slow[:2]); err != nil {
+	if _, err := h.CompleteQueryJobs(0, 0, slow[:2]); err != nil {
 		t.Fatal(err)
 	}
 
@@ -468,10 +530,10 @@ func TestLatencyWatchdogFlagsSlowSite(t *testing.T) {
 	}
 
 	// Flagged once: further slow commits and polls must not re-flag.
-	if _, err := h.CompleteJobs(0, slow[2:]); err != nil {
+	if _, err := h.CompleteQueryJobs(0, 0, slow[2:]); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := h.CompleteJobs(1, copies); err != nil {
+	if _, err := h.CompleteQueryJobs(0, 1, copies); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := reqJobs(h, 1, 1); err != nil {

@@ -1,6 +1,7 @@
 package head
 
 import (
+	"context"
 	"encoding/binary"
 	"fmt"
 	"net"
@@ -60,12 +61,32 @@ func testHead(t *testing.T, clusters int) *Head {
 	// The pipe- and TCP-based protocol tests speak gob (the transport
 	// default), which is opt-in since the binary codec became the default:
 	// the test head opts in explicitly.
-	h, err := New(Config{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectClusters: clusters,
+	h, err := New(Config{ExpectClusters: clusters,
 		Tuning: config.Tuning{WireCodec: config.CodecGob}, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true}); err != nil {
+		t.Fatal(err)
+	}
 	return h
+}
+
+// wait0 waits for the test head's single query (ID 0).
+func wait0(h *Head) (core.Object, []ClusterReport, time.Duration, error) {
+	h.mu.Lock()
+	q := h.queries[0]
+	h.mu.Unlock()
+	return q.Wait(context.Background())
+}
+
+// register opens a site's session and fetches query 0's spec, as an agent
+// does on its first grant.
+func register(h *Head, hello protocol.Hello) (protocol.JobSpec, error) {
+	if _, err := h.RegisterSite(hello); err != nil {
+		return protocol.JobSpec{}, err
+	}
+	return h.QuerySpec(hello.Site, 0)
 }
 
 // reqJobs adapts the typed Poll reply back to the old (jobs, wait, err)
@@ -86,63 +107,60 @@ func TestNewValidation(t *testing.T) {
 	ix, _ := chunk.Layout("h", 10, 4, 10, 5)
 	pool, _ := jobs.NewPool(ix, jobs.Placement{0}, jobs.Options{})
 	// A head without a pool is a valid multi-query head awaiting Admit.
-	if _, err := New(Config{Reducer: sumReducer{}, ExpectClusters: 1, Logf: func(string, ...any) {}}); err != nil {
+	if _, err := New(Config{ExpectClusters: 1, Logf: func(string, ...any) {}}); err != nil {
 		t.Errorf("pool-less multi-query head rejected: %v", err)
 	}
-	if _, err := New(Config{Pool: pool, ExpectClusters: 1}); err == nil {
+	h, _ := New(Config{ExpectClusters: 1})
+	if _, err := h.Admit(QueryConfig{Pool: pool}); err == nil {
 		t.Error("nil reducer accepted")
 	}
-	if _, err := New(Config{Pool: pool, Reducer: sumReducer{}}); err == nil {
+	if _, err := New(Config{}); err == nil {
 		t.Error("zero ExpectClusters accepted")
 	}
 }
 
 func TestRegisterSpecAndLimit(t *testing.T) {
 	h := testHead(t, 1)
-	spec, err := h.Register(protocol.Hello{Site: 0, Cluster: "a"})
+	spec, err := register(h, protocol.Hello{Site: 0, Cluster: "a"})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if spec.App != "sum" || len(spec.Index) == 0 {
 		t.Errorf("spec = %+v", spec)
 	}
-	if _, err := h.Register(protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
+	if _, err := register(h, protocol.Hello{Site: 1, Cluster: "b"}); err == nil {
 		t.Error("over-registration accepted")
 	}
 }
 
+// TestSubmitResultBlocksUntilAll pins the ExpectAll completion rule: the
+// query stays open after the first cluster's result and completes, with
+// the merged object, only once every expected cluster has submitted.
 func TestSubmitResultBlocksUntilAll(t *testing.T) {
 	h := testHead(t, 2)
-	h.Register(protocol.Hello{Site: 0, Cluster: "a"})
-	h.Register(protocol.Hello{Site: 1, Cluster: "b"})
+	register(h, protocol.Hello{Site: 0, Cluster: "a"})
+	register(h, protocol.Hello{Site: 1, Cluster: "b"})
 
-	first := make(chan []byte, 1)
-	go func() {
-		final, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(40)})
-		if err != nil {
-			t.Errorf("first submit: %v", err)
-		}
-		first <- final
-	}()
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(40)}); err != nil {
+		t.Fatalf("first submit: %v", err)
+	}
+	h.mu.Lock()
+	q := h.queries[0]
+	h.mu.Unlock()
 	select {
-	case <-first:
-		t.Fatal("first submitter returned before second cluster reported")
+	case <-q.Done():
+		t.Fatal("query finished before the second cluster reported")
 	case <-time.After(20 * time.Millisecond):
 	}
-	final2, err := h.SubmitResult(protocol.ReductionResult{Site: 1, Object: encodeSum(2)})
-	if err != nil {
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: encodeSum(2)}); err != nil {
 		t.Fatal(err)
 	}
-	final1 := <-first
-	obj, reports, grTime, err := h.Result()
+	obj, reports, grTime, err := wait0(h)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got := obj.(*sumObj).total; got != 42 {
 		t.Errorf("final = %d, want 42", got)
-	}
-	if string(final1) != string(final2) || string(final1) != string(encodeSum(42)) {
-		t.Errorf("encoded finals differ: %v vs %v", final1, final2)
 	}
 	if len(reports) != 2 {
 		t.Errorf("reports = %d", len(reports))
@@ -154,22 +172,16 @@ func TestSubmitResultBlocksUntilAll(t *testing.T) {
 
 func TestSubmitResultDecodeErrorFailsRun(t *testing.T) {
 	h := testHead(t, 2)
-	h.Register(protocol.Hello{Site: 0, Cluster: "a"})
-	h.Register(protocol.Hello{Site: 1, Cluster: "b"})
-	done := make(chan error, 1)
-	go func() {
-		_, err := h.SubmitResult(protocol.ReductionResult{Site: 0, Object: encodeSum(1)})
-		done <- err
-	}()
-	time.Sleep(5 * time.Millisecond)
-	if _, err := h.SubmitResult(protocol.ReductionResult{Site: 1, Object: []byte("bad")}); err == nil {
+	register(h, protocol.Hello{Site: 0, Cluster: "a"})
+	register(h, protocol.Hello{Site: 1, Cluster: "b"})
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 0, Object: encodeSum(1)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := h.SubmitQueryResult(protocol.ReductionResult{Site: 1, Object: []byte("bad")}); err == nil {
 		t.Error("bad object accepted")
 	}
-	if err := <-done; err == nil {
-		t.Error("waiter not released with error")
-	}
-	if _, _, _, err := h.Result(); err == nil {
-		t.Error("Result did not surface failure")
+	if _, _, _, err := wait0(h); err == nil {
+		t.Error("Wait did not surface failure")
 	}
 }
 
@@ -182,7 +194,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 	if wait {
 		t.Error("wait = true on a non-empty grant")
 	}
-	dups, err := h.CompleteJobs(0, js)
+	dups, err := h.CompleteQueryJobs(0, 0, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +203,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 	}
 	// A second completion of the same jobs is deduplicated, not an error:
 	// that is how speculative copies are absorbed.
-	dups, err = h.CompleteJobs(0, js)
+	dups, err = h.CompleteQueryJobs(0, 0, js)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,8 +214,7 @@ func TestRequestAndCompleteJobs(t *testing.T) {
 
 // TestHandleConnProtocol drives a full master session over an in-process
 // pipe: Hello → SiteSpec, QuerySpecRequest → JobSpec, PollRequest/JobsDone
-// until the query appears in Done, then ReductionResult → ResultAck and
-// ResultRequest → Finished.
+// until the query appears in Done, then ReductionResult → ResultAck.
 func TestHandleConnProtocol(t *testing.T) {
 	h := testHead(t, 1)
 	a, b := transport.Pipe()
@@ -284,21 +295,7 @@ func TestHandleConnProtocol(t *testing.T) {
 	if ack, ok := reply.(protocol.ResultAck); !ok || ack.Err != "" {
 		t.Fatalf("ReductionResult reply = %#v", reply)
 	}
-	if err := a.Send(protocol.ResultRequest{Site: 0, Query: 0}); err != nil {
-		t.Fatal(err)
-	}
-	reply, err = a.Recv()
-	if err != nil {
-		t.Fatal(err)
-	}
-	fin, ok := reply.(protocol.Finished)
-	if !ok {
-		t.Fatalf("reply = %T", reply)
-	}
-	if string(fin.Object) != string(encodeSum(7)) {
-		t.Errorf("final = %v", fin.Object)
-	}
-	obj, _, _, err := h.Result()
+	obj, _, _, err := wait0(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -351,9 +348,12 @@ func TestHandleConnGobOptIn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	h, err := New(Config{Pool: pool, Reducer: sumReducer{}, Spec: protocol.JobSpec{App: "sum", UnitSize: 4},
-		ExpectClusters: 1, Logf: t.Logf}) // default tuning: binary
+	h, err := New(Config{ExpectClusters: 1, Logf: t.Logf}) // default tuning: binary
 	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Admit(QueryConfig{Pool: pool, Reducer: sumReducer{},
+		Spec: protocol.JobSpec{App: "sum", UnitSize: 4}}); err != nil {
 		t.Fatal(err)
 	}
 	defer h.Shutdown()
@@ -450,7 +450,7 @@ func TestLostMasterFailsRun(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.Close() // master dies mid-run
-	if _, _, _, err := h.Result(); err == nil {
+	if _, _, _, err := wait0(h); err == nil {
 		t.Error("run did not fail after losing a registered master")
 	}
 }
@@ -464,12 +464,22 @@ func TestServeOverTCP(t *testing.T) {
 	go h.Serve(l)
 	defer h.Close()
 
+	// Each master keeps its session open until the query completes: without
+	// fault tolerance a session that ends early fails the run.
+	conns := make([]*transport.Conn, 2)
+	defer func() {
+		for _, c := range conns {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
 	runMaster := func(site int, amount uint64) error {
 		c, err := transport.Dial("tcp", l.Addr().String())
 		if err != nil {
 			return err
 		}
-		defer c.Close()
+		conns[site] = c
 		if err := c.Send(protocol.Hello{Site: site, Cluster: fmt.Sprint(site), Proto: protocol.ProtoMulti}); err != nil {
 			return err
 		}
@@ -523,20 +533,6 @@ func TestServeOverTCP(t *testing.T) {
 		if ack, ok := reply.(protocol.ResultAck); !ok || ack.Err != "" {
 			return fmt.Errorf("ReductionResult reply = %#v", reply)
 		}
-		if err := c.Send(protocol.ResultRequest{Site: site, Query: 0}); err != nil {
-			return err
-		}
-		reply, err = c.Recv()
-		if err != nil {
-			return err
-		}
-		fin, ok := reply.(protocol.Finished)
-		if !ok {
-			return fmt.Errorf("ResultRequest reply = %T", reply)
-		}
-		if string(fin.Object) != string(encodeSum(30)) {
-			return fmt.Errorf("final object = %v", fin.Object)
-		}
 		return nil
 	}
 	var wg sync.WaitGroup
@@ -554,7 +550,7 @@ func TestServeOverTCP(t *testing.T) {
 			t.Fatalf("master %d: %v", i, err)
 		}
 	}
-	obj, _, _, err := h.Result()
+	obj, _, _, err := wait0(h)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,8 @@ type QueryConfig struct {
 	// contention, job grants converge to the weight ratios.
 	Weight int
 	// ExpectAll, when set, requires a reduction result from every one of
-	// the head's ExpectClusters masters (the legacy completion rule). When
+	// the head's ExpectClusters masters (the single-query completion rule:
+	// every registered cluster takes part, as in the paper's deployment). When
 	// unset, only sites that actually contributed folds to the query must
 	// report, so a query whose placement confines it to some sites
 	// completes without involving the others.
@@ -72,8 +73,6 @@ type Query struct {
 	finalObj  core.Object
 	grTime    time.Duration
 	collected int
-	encoded   []byte
-	waiters   []chan struct{}
 	finishErr error
 	finished  bool
 	canceled  bool
@@ -272,30 +271,14 @@ func (q *Query) failLocked(err error) {
 	}
 	q.finished = true
 	q.finishErr = err
-	for _, ch := range q.waiters {
-		close(ch)
-	}
-	q.waiters = nil
 	close(q.done)
-	if q == q.h.legacy {
-		q.h.markDone()
-	}
 }
 
-// finalizeLocked encodes the final object and releases everyone waiting on
+// finalizeLocked seals the final object and releases everyone waiting on
 // the query. Caller holds h.mu.
 func (q *Query) finalizeLocked() {
-	enc, err := q.reducer.Encode(q.finalObj)
-	q.encoded, q.finishErr = enc, err
 	q.finished = true
-	for _, ch := range q.waiters {
-		close(ch)
-	}
-	q.waiters = nil
 	close(q.done)
-	if q == q.h.legacy {
-		q.h.markDone()
-	}
 	q.h.cfg.Logf("head: query %d complete (%d cluster results)", q.id, q.collected)
 }
 
@@ -307,9 +290,8 @@ func (q *Query) completeLocked() bool {
 	}
 	if q.expectAll {
 		// The all-masters rule: complete when every expected cluster has
-		// submitted. A master only submits once the head stops granting it
-		// jobs, so the pool is drained by construction here — the seed's
-		// single-query contract, preserved without re-checking drain.
+		// submitted. A master only submits on a Done notice, which the head
+		// sends once the pool is drained, so drain needs no re-check here.
 		if q.collected < q.h.cfg.ExpectClusters {
 			return false
 		}
@@ -344,10 +326,6 @@ func (q *Query) completeLocked() bool {
 // result (Done), canceled queries to discard (Dropped), whether an empty
 // grant is final or worth polling again (Wait), and head shutdown. A fenced
 // site gets an *OpError wrapping fault.ErrFenced and must re-register.
-//
-// A ProtoSingle session may use Poll only on a head whose sole query is the
-// legacy query 0; grants for other queries would be stranded (committed by
-// nobody) until lease recovery reclaimed them.
 func (h *Head) Poll(site, n int) (protocol.PollReply, error) {
 	return h.PollFrom(protocol.PollRequest{Site: site, N: n})
 }
@@ -510,9 +488,8 @@ func (h *Head) pollDraining(site int) (protocol.PollReply, error) {
 		rep.Drain = true
 		h.departLocked(site)
 	} else {
-		// Wait only while held jobs are still committing. Once they are in,
-		// an empty non-Wait grant is the submit signal for a legacy master
-		// (which ignores Done), while a multi-query agent acts on Done.
+		// Wait only while held jobs are still committing; once they are in,
+		// the agent acts on Done.
 		rep.Wait = outstanding > 0
 	}
 	return rep, nil
@@ -550,11 +527,12 @@ func (h *Head) QuerySpec(site, query int) (protocol.JobSpec, error) {
 	}
 	h.mu.Lock()
 	q := h.queries[query]
+	canceled := q != nil && q.canceled
 	h.mu.Unlock()
 	if q == nil {
 		return protocol.JobSpec{}, opErr("spec", site, query, ErrUnknownQuery)
 	}
-	if q.canceled {
+	if canceled {
 		return protocol.JobSpec{}, opErr("spec", site, query, ErrQueryCanceled)
 	}
 	spec := q.spec
@@ -663,11 +641,11 @@ func (q *Query) jobsDoneLocked(site int) *obs.Counter {
 }
 
 // SubmitQueryResult accepts one cluster's encoded reduction object for one
-// query and merges it into that query's global result. Unlike the legacy
-// SubmitResult it does not block for the rest of the query: the master
-// keeps polling and serving other queries. Submissions for canceled or
-// already-finished queries are refused with typed errors the master treats
-// as "discard and move on".
+// query and merges it into that query's global result. It does not block
+// for the rest of the query: the master keeps polling and serving other
+// queries. Submissions for canceled or already-finished queries are refused
+// with typed errors the master treats as "discard and move on"; a fenced
+// site's submission is refused as fenced.
 func (h *Head) SubmitQueryResult(res protocol.ReductionResult) error {
 	if err := h.fencedCheck(res.Site); err != nil {
 		return opErr("submit", res.Site, res.Query, err)
@@ -679,18 +657,8 @@ func (h *Head) SubmitQueryResult(res protocol.ReductionResult) error {
 	if q == nil {
 		return opErr("submit", res.Site, res.Query, ErrUnknownQuery)
 	}
-	return h.submit(q, res)
-}
-
-// submit decodes, merges and records one cluster's result for q, finalizing
-// the query when the last expected result lands.
-func (h *Head) submit(q *Query, res protocol.ReductionResult) error {
-	if h.fs != nil {
-		// The submitted object carries every fold this site made for q, so
-		// its un-checkpointed commits no longer need reissue on failure.
-		h.mu.Lock()
-		q.sinceCkpt[res.Site] = nil
-		h.mu.Unlock()
+	if h.submitHook != nil {
+		h.submitHook(res.Site)
 	}
 	obj, err := q.reducer.Decode(res.Object)
 	if err != nil {
@@ -701,7 +669,15 @@ func (h *Head) submit(q *Query, res protocol.ReductionResult) error {
 		h.fair.Remove(q.id)
 		return err
 	}
-
+	// One step against FailSite (see lockUnfenced): a result racing its own
+	// site's failure either merges first, and then FailSite reissues nothing
+	// it covers, or sees the fence. Otherwise it could merge after FailSite
+	// reissued the site's un-checkpointed jobs, and those would count twice.
+	unlock, err := h.lockUnfenced(res.Site)
+	if err != nil {
+		return opErr("submit", res.Site, q.id, err)
+	}
+	defer unlock()
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	if q.canceled {
@@ -712,6 +688,9 @@ func (h *Head) submit(q *Query, res protocol.ReductionResult) error {
 		// (or this site already counted); drop it without error.
 		return nil
 	}
+	// The submitted object carries every fold this site made for q, so its
+	// un-checkpointed commits no longer need reissue on failure.
+	q.sinceCkpt[res.Site] = nil
 	sp := h.tr.Begin(0, 0, "sync", "merge-robj")
 	start := h.clk.Now()
 	if q.finalObj == nil {

@@ -13,7 +13,7 @@ import (
 // multiHead builds a long-lived head with no legacy query, ready for Admit.
 func multiHead(t *testing.T, clusters int) *Head {
 	t.Helper()
-	h, err := New(Config{Reducer: sumReducer{}, ExpectClusters: clusters, Logf: t.Logf})
+	h, err := New(Config{ExpectClusters: clusters, Logf: t.Logf})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,7 @@ import (
 //	bool → u8
 //
 // Messages that carry a bulk payload (PutReq.Data, GetResp.Data,
-// ReductionResult.Object, Finished.Object, CheckpointSave.Data) place it
+// ReductionResult.Object, CheckpointSave.Data) place it
 // LAST with no length prefix — its length is whatever remains of the frame —
 // so encoders write the payload bytes directly after the fixed meta and
 // decoders read them straight into a caller-supplied (pooled) buffer. No
@@ -64,7 +64,7 @@ const (
 	tagCheckpointSave
 	tagCheckpointAck
 	tagReductionResult
-	tagFinished
+	_ // 11: Finished, retired with the blocking result wait; never reuse
 	tagErrorReply
 	tagPutReq
 	tagPutResp
@@ -83,7 +83,7 @@ const (
 	// note above). New tags MUST be appended here, never inserted.
 	tagCheckpointSaveTraced
 	tagReductionResultTraced
-	tagResultRequest
+	_ // 28: ResultRequest, retired with the blocking result wait; never reuse
 )
 
 // traceWire is the fixed encoded size of one TraceContext (two u64 words);
@@ -203,7 +203,7 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = appendInt(dst, m.UnitSize)
 		dst = appendInt(dst, m.GroupBytes)
 		dst = appendBytes(dst, m.Index)
-		dst = appendInt(dst, m.GroupSize)
+		dst = appendInt(dst, 0) // reserved: the retired GroupSize field
 		dst = appendBytes(dst, m.Checkpoint)
 		dst = appendI64(dst, m.HeartbeatEvery)
 		dst = appendInt(dst, m.Codec)
@@ -273,9 +273,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		if !m.Trace.Zero() {
 			dst = appendTrace(dst, m.Trace)
 		}
-		return dst, m.Object, nil
-	case Finished:
-		dst = append(dst, tagFinished)
 		return dst, m.Object, nil
 	case ErrorReply:
 		dst = append(dst, tagErrorReply)
@@ -358,10 +355,6 @@ func AppendBinary(dst []byte, m Message) (meta, payload []byte, err error) {
 		dst = append(dst, tagResultAck)
 		dst = appendStr(dst, m.Err)
 		dst = appendU32(dst, uint32(m.Code))
-	case ResultRequest:
-		dst = append(dst, tagResultRequest)
-		dst = appendInt(dst, m.Site)
-		dst = appendInt(dst, m.Query)
 	case PutReq:
 		dst = append(dst, tagPutReq)
 		dst = appendStr(dst, m.Key)
@@ -708,7 +701,7 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 		if m.Index, err = f.bytes(); err != nil {
 			return nil, err
 		}
-		if m.GroupSize, err = f.int(); err != nil {
+		if _, err = f.int(); err != nil { // reserved: the retired GroupSize field
 			return nil, err
 		}
 		if m.Checkpoint, err = f.bytes(); err != nil {
@@ -860,13 +853,6 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 				return nil, err
 			}
 		}
-		if m.Object, err = f.tail(alloc); err != nil {
-			return nil, err
-		}
-		return m, nil
-	case tagFinished:
-		var m Finished
-		var err error
 		if m.Object, err = f.tail(alloc); err != nil {
 			return nil, err
 		}
@@ -1025,16 +1011,6 @@ func decodeBody(tag byte, f *frameReader, alloc func(int) []byte) (Message, erro
 			return nil, err
 		}
 		m.Code = int(int32(code))
-		return m, nil
-	case tagResultRequest:
-		var m ResultRequest
-		var err error
-		if m.Site, err = f.int(); err != nil {
-			return nil, err
-		}
-		if m.Query, err = f.int(); err != nil {
-			return nil, err
-		}
 		return m, nil
 	case tagPutReq:
 		var m PutReq

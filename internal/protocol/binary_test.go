@@ -36,7 +36,7 @@ func sampleMessages() []Message {
 		Hello{Site: 3, Cluster: "cloud", Cores: 16, Codec: WireBinary},
 		Hello{},
 		JobSpec{App: "knn", Params: []byte{1, 2, 3}, UnitSize: 4096, GroupBytes: 256 << 10,
-			Index: bytes.Repeat([]byte{0xAB}, 100), GroupSize: 8,
+			Index:      bytes.Repeat([]byte{0xAB}, 100),
 			Checkpoint: []byte("ckpt"), HeartbeatEvery: 5e8, Codec: WireBinary},
 		JobSpec{App: "kmeans"},
 		JobRequest{Site: 1, N: 32},
@@ -54,8 +54,6 @@ func sampleMessages() []Message {
 		CheckpointAck{Err: "stale seq", Code: CodeStale},
 		ReductionResult{Site: 2, Object: []byte{9, 8, 7}, Processing: 123, Retrieval: 456,
 			Sync: 789, LocalJobs: 10, StolenJobs: 3},
-		Finished{Object: bytes.Repeat([]byte{0xCD}, 50)},
-		Finished{},
 		ErrorReply{Err: "boom"},
 		PutReq{Key: "points0000.dat", Data: bytes.Repeat([]byte{1}, 1000)},
 		PutResp{Err: "disk full", Code: CodeTransient},
@@ -122,8 +120,6 @@ func sampleMessages() []Message {
 		JobSpec{App: "kmeans", Query: 4, Codec: WireBinary,
 			Trace:  TraceContext{TraceID: 5},
 			Policy: ElasticPolicy{Deadline: 240e9, Budget: 0.12, MinWorkers: 2, MaxWorkers: 6}},
-		ResultRequest{Site: 2, Query: 6},
-		ResultRequest{},
 	}
 }
 

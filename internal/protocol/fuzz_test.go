@@ -2,6 +2,7 @@ package protocol
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 )
 
@@ -27,6 +28,16 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF})
 	f.Add([]byte{4, 0, 0, 0, 1, 0, 0, 0})
+	// The retired Finished and ResultRequest tags, in the shapes their
+	// encoders produced, so the fuzzer starts from frames a peer on an older
+	// build could still send.
+	for _, frame := range retiredFrames() {
+		f.Add(frame)
+		if len(frame) > 5 {
+			f.Add(frame[:len(frame)-3])
+			f.Add(frame[2:])
+		}
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, n, err := DecodeFrame(data)
@@ -57,4 +68,32 @@ func FuzzDecodeFrame(f *testing.F) {
 			t.Fatalf("%T not canonical:\n first %x\nsecond %x", m, frame, frame2)
 		}
 	})
+}
+
+// retiredFrames returns frames carrying the reserved tags of the retired
+// Finished (11) and ResultRequest (28) messages, laid out as their encoders
+// wrote them: Finished an object tail, ResultRequest a site and a query.
+func retiredFrames() [][]byte {
+	frame := func(tag byte, body []byte) []byte {
+		b := appendU32(nil, uint32(1+len(body)))
+		b = append(b, tag)
+		return append(b, body...)
+	}
+	return [][]byte{
+		frame(11, bytes.Repeat([]byte{0xCD}, 50)),
+		frame(11, nil),
+		frame(28, appendInt(appendInt(nil, 2), 6)),
+		frame(28, appendInt(appendInt(nil, 0), 0)),
+	}
+}
+
+// TestRetiredTagsRejected pins that the reserved tags stay unknown: a frame
+// from a build that still sends Finished or ResultRequest is refused, never
+// decoded as some other message.
+func TestRetiredTagsRejected(t *testing.T) {
+	for _, frame := range retiredFrames() {
+		if m, _, err := DecodeFrame(frame); !errors.Is(err, ErrUnknownType) {
+			t.Errorf("tag %d: got (%T, %v), want ErrUnknownType", frame[4], m, err)
+		}
+	}
 }

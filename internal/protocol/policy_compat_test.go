@@ -34,7 +34,7 @@ func prePolicyFrames() []struct {
 	spec = appendInt(spec, 4096)
 	spec = appendInt(spec, 256<<10)
 	spec = appendBytes(spec, nil)
-	spec = appendInt(spec, 8)
+	spec = appendInt(spec, 0) // reserved slot of the retired GroupSize field
 	spec = appendBytes(spec, nil)
 	spec = appendI64(spec, 5e8)
 	spec = appendInt(spec, WireBinary)
@@ -47,7 +47,7 @@ func prePolicyFrames() []struct {
 	traced := base
 	traced.Trace = TraceContext{SpanID: 5}
 	js := JobSpec{App: "knn", Params: []byte{1, 2}, UnitSize: 4096, GroupBytes: 256 << 10,
-		GroupSize: 8, HeartbeatEvery: 5e8, Codec: WireBinary, Query: 2}
+		HeartbeatEvery: 5e8, Codec: WireBinary, Query: 2}
 	jsTr := js
 	jsTr.Trace = TraceContext{TraceID: 3}
 

@@ -123,7 +123,6 @@ type JobSpec struct {
 	UnitSize   int    // dataset unit size in bytes
 	GroupBytes int    // cache-sized unit-group budget
 	Index      []byte // serialized chunk.Index
-	GroupSize  int    // jobs per master request (0 = master's choice)
 	// Checkpoint, when non-empty, is the encoded fault.Checkpoint a
 	// re-registering cluster resumes from (its last persisted reduction
 	// object plus the job IDs that object covers).
@@ -233,12 +232,6 @@ type ReductionResult struct {
 	Trace TraceContext
 }
 
-// Finished is the head's broadcast after the final global reduction: the
-// run is complete. Masters measure their idle (sync) time up to this point.
-type Finished struct {
-	Object []byte // final encoded reduction object
-}
-
 // ErrorReply reports a failure for the preceding request. Code classifies
 // the failure (CodeFenced, CodeUnknownQuery, …) so clients can rebuild the
 // head's typed errors across the wire; 0 means unclassified.
@@ -314,24 +307,12 @@ type QuerySpecRequest struct {
 	Query int
 }
 
-// ResultAck acknowledges a ReductionResult in a multi-query session. Unlike
-// the legacy Finished broadcast it does not block for the global reduction:
-// the master keeps serving other queries and learns nothing of the final
-// object (the submitting client reads it from the head).
+// ResultAck acknowledges a ReductionResult. It does not wait for the global
+// reduction: the master keeps serving other queries and learns nothing of
+// the final object, which the head's caller reads with Query.Wait.
 type ResultAck struct {
 	Err  string
 	Code int
-}
-
-// ResultRequest asks the head for one query's final global reduction
-// object. The head blocks the session until the query finishes, then
-// replies with Finished (or ErrorReply if the query failed or was
-// canceled). This is how a client that wants the final object waits for it
-// over the wire now that ProtoSingle's blocking ReductionResult→Finished
-// exchange is retired.
-type ResultRequest struct {
-	Site  int
-	Query int
 }
 
 // ---------------------------------------------------------------------------
@@ -418,14 +399,12 @@ func (Heartbeat) protoMsg()        {}
 func (CheckpointSave) protoMsg()   {}
 func (CheckpointAck) protoMsg()    {}
 func (ReductionResult) protoMsg()  {}
-func (Finished) protoMsg()         {}
 func (ErrorReply) protoMsg()       {}
 func (SiteSpec) protoMsg()         {}
 func (PollRequest) protoMsg()      {}
 func (PollReply) protoMsg()        {}
 func (QuerySpecRequest) protoMsg() {}
 func (ResultAck) protoMsg()        {}
-func (ResultRequest) protoMsg()    {}
 func (PutReq) protoMsg()           {}
 func (PutResp) protoMsg()          {}
 func (GetReq) protoMsg()           {}
@@ -446,14 +425,12 @@ func init() {
 	gob.Register(CheckpointSave{})
 	gob.Register(CheckpointAck{})
 	gob.Register(ReductionResult{})
-	gob.Register(Finished{})
 	gob.Register(ErrorReply{})
 	gob.Register(SiteSpec{})
 	gob.Register(PollRequest{})
 	gob.Register(PollReply{})
 	gob.Register(QuerySpecRequest{})
 	gob.Register(ResultAck{})
-	gob.Register(ResultRequest{})
 	gob.Register(PutReq{})
 	gob.Register(PutResp{})
 	gob.Register(GetReq{})

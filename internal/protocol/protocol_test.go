@@ -12,12 +12,11 @@ import (
 func allMessages() []Message {
 	return []Message{
 		Hello{Site: 1, Cluster: "cloud", Cores: 16},
-		JobSpec{App: "knn", Params: []byte{1}, UnitSize: 32, GroupBytes: 1 << 18, Index: []byte{2}, GroupSize: 8},
+		JobSpec{App: "knn", Params: []byte{1}, UnitSize: 32, GroupBytes: 1 << 18, Index: []byte{2}},
 		JobRequest{Site: 1, N: 4},
 		JobGrant{Jobs: []jobs.Job{{ID: 7, Site: 0}}},
 		JobsDone{Site: 0, Jobs: []jobs.Job{{ID: 7}}},
 		ReductionResult{Site: 1, Object: []byte{3, 4}, Processing: 5, Retrieval: 6, Sync: 7, LocalJobs: 8, StolenJobs: 9},
-		Finished{Object: []byte{5}},
 		ErrorReply{Err: "boom"},
 		PutReq{Key: "k", Data: []byte("v")},
 		PutResp{Err: ""},

@@ -19,6 +19,7 @@ package stagecache
 import (
 	"container/list"
 	"fmt"
+	"hash/fnv"
 	"sync"
 
 	"repro/internal/bufpool"
@@ -49,13 +50,27 @@ type Config struct {
 	Logf func(format string, args ...any)
 }
 
-// Key identifies one cached chunk: the origin site plus the chunk
-// coordinates within the dataset.
+// Key identifies one cached chunk: the dataset (see DatasetID), the origin
+// site, and the chunk coordinates within the dataset. A cache outlives any
+// one query, so two datasets whose chunks share (File, Seq) coordinates
+// must not alias.
 type Key struct {
+	Dataset         uint64
 	Site, File, Seq int
 }
 
-func (k Key) replicaKey() string { return fmt.Sprintf("stage/%d/%d/%d", k.Site, k.File, k.Seq) }
+func (k Key) replicaKey() string {
+	return fmt.Sprintf("stage/%016x/%d/%d/%d", k.Dataset, k.Site, k.File, k.Seq)
+}
+
+// DatasetID names a dataset for Key by hashing its serialized chunk.Index
+// (FNV-1a). The index fixes every file name and chunk boundary, so two
+// datasets share cache entries only when their indexes are identical.
+func DatasetID(index []byte) uint64 {
+	h := fnv.New64a()
+	h.Write(index)
+	return h.Sum64()
+}
 
 type entry struct {
 	key  Key
@@ -69,9 +84,10 @@ type spillReq struct {
 }
 
 type prestageReq struct {
-	site int
-	src  chunk.Source
-	refs []chunk.Ref
+	dataset uint64
+	site    int
+	src     chunk.Source
+	refs    []chunk.Ref
 }
 
 // metrics holds the pre-resolved instruments; all nil-safe, so a Cache
@@ -210,26 +226,28 @@ func (c *Cache) Snapshot() Stats {
 	}
 }
 
-// Wrap returns a read-through view of src for chunks whose origin is the
-// given site. A nil cache returns src unchanged (the disabled fast path).
-func (c *Cache) Wrap(site int, src chunk.Source) chunk.Source {
+// Wrap returns a read-through view of src for the given dataset's chunks
+// whose origin is the given site. A nil cache returns src unchanged (the
+// disabled fast path).
+func (c *Cache) Wrap(dataset uint64, site int, src chunk.Source) chunk.Source {
 	if c == nil || src == nil {
 		return src
 	}
-	return &cachedSource{c: c, site: site, origin: src}
+	return &cachedSource{c: c, dataset: dataset, site: site, origin: src}
 }
 
 type cachedSource struct {
-	c      *Cache
-	site   int
-	origin chunk.Source
+	c       *Cache
+	dataset uint64
+	site    int
+	origin  chunk.Source
 }
 
 // ReadChunk implements chunk.Source: memory tier, then replica, then the
 // origin (read-through). The returned buffer is caller-owned, like every
 // chunk.Source.
 func (s *cachedSource) ReadChunk(ref chunk.Ref) ([]byte, error) {
-	return s.c.read(Key{Site: s.site, File: ref.File, Seq: ref.Seq}, ref, s.origin)
+	return s.c.read(Key{Dataset: s.dataset, Site: s.site, File: ref.File, Seq: ref.Seq}, ref, s.origin)
 }
 
 func (c *Cache) read(key Key, ref chunk.Ref, origin chunk.Source) ([]byte, error) {
@@ -426,12 +444,13 @@ func (c *Cache) writeReplica(key Key, data []byte) {
 // refs in the head's grant order so staged data lands just ahead of its
 // jobs. Returns immediately; a nil cache or a cache without a replica
 // ignores the request.
-func (c *Cache) Prestage(site int, src chunk.Source, refs []chunk.Ref) {
+func (c *Cache) Prestage(dataset uint64, site int, src chunk.Source, refs []chunk.Ref) {
 	if c == nil || c.cfg.Replica == nil || src == nil || len(refs) == 0 {
 		return
 	}
+	req := prestageReq{dataset: dataset, site: site, src: src, refs: append([]chunk.Ref(nil), refs...)}
 	select {
-	case c.prestageCh <- prestageReq{site: site, src: src, refs: append([]chunk.Ref(nil), refs...)}:
+	case c.prestageCh <- req:
 	case <-c.closed:
 	}
 }
@@ -455,7 +474,7 @@ func (c *Cache) prestageRun(req prestageReq) {
 			return
 		default:
 		}
-		key := Key{Site: req.site, File: ref.File, Seq: ref.Seq}
+		key := Key{Dataset: req.dataset, Site: req.site, File: ref.File, Seq: ref.Seq}
 		c.mu.Lock()
 		_, inMem := c.entries[key]
 		skip := inMem || c.inReplica[key]

@@ -130,15 +130,15 @@ func waitStaged(t *testing.T, c *Cache, n int64) {
 func TestNilCacheIsInert(t *testing.T) {
 	var c *Cache
 	_, src, refs := testDataset(t)
-	if got := c.Wrap(0, src); got != chunk.Source(src) {
+	if got := c.Wrap(0, 0, src); got != chunk.Source(src) {
 		t.Error("nil cache Wrap changed the source")
 	}
-	c.Prestage(0, src, refs) // must not panic
+	c.Prestage(0, 0, src, refs) // must not panic
 	c.Close()
 	if s := c.Snapshot(); s != (Stats{}) {
 		t.Errorf("nil cache Snapshot = %+v", s)
 	}
-	if New(Config{}, nil).Wrap(0, nil) != nil {
+	if New(Config{}, nil).Wrap(0, 0, nil) != nil {
 		t.Error("Wrap(nil source) != nil")
 	}
 }
@@ -149,7 +149,7 @@ func TestReadThroughMemoryTier(t *testing.T) {
 	reg := obs.NewRegistry()
 	c := New(Config{}, reg)
 	defer c.Close()
-	src := c.Wrap(0, origin)
+	src := c.Wrap(0, 0, origin)
 
 	// Cold pass: every read is a miss served by the origin.
 	for _, ref := range refs {
@@ -204,7 +204,7 @@ func TestReplicaServesEvictedChunks(t *testing.T) {
 	// everything — but every chunk spills to the replica.
 	c := New(Config{CapacityBytes: 2 * perChunk, Replica: rep, SpillDepth: len(refs)}, nil)
 	defer c.Close()
-	src := c.Wrap(0, origin)
+	src := c.Wrap(0, 0, origin)
 
 	for _, ref := range refs {
 		data, err := src.ReadChunk(ref)
@@ -249,7 +249,7 @@ func TestReplicaCrashFallsBackToOrigin(t *testing.T) {
 	}
 	c := New(Config{CapacityBytes: perChunk, Replica: rep, SpillDepth: len(refs)}, nil)
 	defer c.Close()
-	src := c.Wrap(0, origin)
+	src := c.Wrap(0, 0, origin)
 
 	for _, ref := range refs {
 		data, err := src.ReadChunk(ref)
@@ -293,7 +293,7 @@ func TestReplicaSizeMismatchFallsBackToOrigin(t *testing.T) {
 	rep := newFakeReplica()
 	c := New(Config{CapacityBytes: 1, Replica: rep}, nil) // nothing fits in memory
 	defer c.Close()
-	src := c.Wrap(0, origin)
+	src := c.Wrap(0, 0, origin)
 
 	// A truncated replica object (partial write, torn upload) must never be
 	// served: seed one and make the cache believe it is staged.
@@ -341,9 +341,9 @@ func TestPrestagePushesAheadOfReads(t *testing.T) {
 	}
 	c := New(Config{CapacityBytes: 1, Replica: rep}, nil) // memory tier disabled
 	defer c.Close()
-	src := c.Wrap(0, origin)
+	src := c.Wrap(0, 0, origin)
 
-	c.Prestage(0, stagerSrc, refs)
+	c.Prestage(0, 0, stagerSrc, refs)
 	waitStaged(t, c, total)
 	if got := stagerSrc.reads.Load(); got != int64(len(refs)) {
 		t.Fatalf("stager reads = %d, want %d", got, len(refs))
@@ -365,7 +365,7 @@ func TestPrestagePushesAheadOfReads(t *testing.T) {
 		t.Errorf("hits = %d, want %d (all replica)", s.Hits, len(refs))
 	}
 	// Re-prestaging the same refs is a no-op: everything is already staged.
-	c.Prestage(0, stagerSrc, refs)
+	c.Prestage(0, 0, stagerSrc, refs)
 	deadline := time.Now().Add(time.Second)
 	for time.Now().Before(deadline) && stagerSrc.reads.Load() == int64(len(refs)) {
 		time.Sleep(time.Millisecond)
@@ -385,7 +385,7 @@ func TestConcurrentReadEvictPrestage(t *testing.T) {
 	// Capacity of ~3 chunks keeps eviction constantly active.
 	c := New(Config{CapacityBytes: 3 * perChunk, Replica: rep, SpillDepth: 4}, nil)
 	defer c.Close()
-	src := c.Wrap(0, chunk.Source(mem))
+	src := c.Wrap(0, 0, chunk.Source(mem))
 
 	const readers = 8
 	const rounds = 40
@@ -416,7 +416,7 @@ func TestConcurrentReadEvictPrestage(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 10; i++ {
-			c.Prestage(0, mem, refs)
+			c.Prestage(0, 0, mem, refs)
 		}
 	}()
 	wg.Wait()
@@ -438,7 +438,7 @@ func TestSingleflightCollapsesConcurrentMisses(t *testing.T) {
 	slow := &slowSource{src: mem, gate: make(chan struct{})}
 	c := New(Config{}, nil)
 	defer c.Close()
-	src := c.Wrap(0, slow)
+	src := c.Wrap(0, 0, slow)
 
 	ref := refs[0]
 	const n = 4

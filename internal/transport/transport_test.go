@@ -18,7 +18,6 @@ func TestPipeRoundTrip(t *testing.T) {
 		protocol.JobRequest{Site: 1, N: 8},
 		protocol.JobGrant{Jobs: []jobs.Job{{ID: 3, Site: 0}}},
 		protocol.ReductionResult{Site: 0, Object: []byte{1, 2, 3}, Processing: 42},
-		protocol.Finished{Object: []byte{9}},
 		protocol.GetReq{Key: "k", Off: 10, Len: 20},
 		protocol.GetResp{Data: []byte("payload")},
 		protocol.ErrorReply{Err: "boom"},

@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -86,7 +87,7 @@ func simStagedMakespan(t *testing.T, staged bool, iterations int) (time.Duration
 	return res.Total, res.Stage
 }
 
-// liveCacheRun executes one in-proc cluster run over an own-site dataset with
+// liveCacheRun executes one in-proc agent run over an own-site dataset with
 // the given cache attached. With every source local, an attached cache is
 // pure plumbing: Wrap bypasses own-site sources and the pre-stager sees no
 // remote grants — exactly the fast path the <2% gate protects.
@@ -100,19 +101,28 @@ func liveCacheRun(t *testing.T, ix *chunk.Index, src *chunk.MemSource, want uint
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	h, err := head.New(head.Config{Pool: pool, Reducer: cacheSumReducer{}, Spec: spec, ExpectClusters: 1})
+	h, err := head.New(head.Config{ExpectClusters: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Run(cluster.Config{
-		Site: 0, Name: "local", Cores: 4,
-		Sources: map[int]chunk.Source{0: src},
-		Cache:   cache,
-		Head:    cluster.InProc{Head: h},
-	}); err != nil {
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: cacheSumReducer{}, Spec: spec, ExpectAll: true})
+	if err != nil {
 		t.Fatal(err)
 	}
-	obj, _, _, err := h.Result()
+	agentErr := make(chan error, 1)
+	go func() {
+		agentErr <- cluster.RunAgent(context.Background(), cluster.AgentConfig{
+			Site: 0, Name: "local", Cores: 4,
+			Sources: map[int]chunk.Source{0: src},
+			Cache:   cache,
+			Head:    cluster.InProcAgent{Head: h},
+		})
+	}()
+	obj, _, _, err := q.Wait(context.Background())
+	h.Shutdown()
+	if aerr := <-agentErr; aerr != nil {
+		t.Fatal(aerr)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}
