@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet race fault-stress livebench-test check api-snapshot api-check bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
+.PHONY: build test vet race fault-stress fuzz-short livebench-test check api-snapshot api-check bench-obs bench-dataplane bench-dataplane-short bench-elastic bench-elastic-multi bench-cache
 
 # Packages whose exported surface is frozen under docs/api/ — changing
 # their API requires regenerating the snapshot in the same change.
@@ -50,6 +50,13 @@ api-check:
 FAULT_TESTS := Crash|Fence|Retry|Lease|Checkpoint|Reregist|Speculation|Conservation|Checksummed|Session|HandleConnAnswersPipelined
 fault-stress:
 	$(GO) test -count=20 -run '$(FAULT_TESTS)' ./internal/cluster ./internal/head
+
+# Short fuzzing runs beyond the seed corpora (which `go test` already
+# replays): the wire frame decoder and the sparse float64-vector codec, 10 s
+# each. Kept out of `check` so the gate stays deterministic.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzDecodeFrame$$' -fuzztime=10s ./internal/protocol
+	$(GO) test -run '^$$' -fuzz '^FuzzSparseFloat64s$$' -fuzztime=10s ./internal/core
 
 # The live benchmark's own tests (a separate module): tiny smoke runs of the
 # deployment over loopback TCP with the WAN delay line, which exercise the

@@ -1,9 +1,12 @@
 package apps
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
+	"runtime"
 	"slices"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -433,8 +436,9 @@ func TestPageRankCodecRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(enc) != 40 {
-		t.Errorf("encoded size = %d, want 40", len(enc))
+	// One bitmap byte for 5 nodes plus the single non-zero entry.
+	if len(enc) != 9 {
+		t.Errorf("encoded size = %d, want 9", len(enc))
 	}
 	back, err := r.Decode(enc)
 	if err != nil {
@@ -443,7 +447,7 @@ func TestPageRankCodecRoundTrip(t *testing.T) {
 	if back.(*PageRankObject).Incoming[3] != 0.125 {
 		t.Errorf("round trip = %+v", back)
 	}
-	if _, err := r.Decode(enc[:16]); err == nil {
+	if _, err := r.Decode(enc[:5]); err == nil {
 		t.Error("truncated object accepted")
 	}
 }
@@ -512,6 +516,135 @@ func TestPageRankRegistry(t *testing.T) {
 	}
 	if r.(*PageRankReducer).Params.Nodes != 10 {
 		t.Errorf("registry params = %+v", r.(*PageRankReducer).Params)
+	}
+}
+
+// TestPageRankSparseCodecsLossless runs two real iterations and checks that
+// the reduction object and the rank vector survive their sparse layouts bit
+// for bit, at exactly the size the layout promises: nodes without
+// contributions cost one bitmap bit in the object, and nodes without
+// in-links — whose rank is exactly (1-d)/N — one bit in the params.
+func TestPageRankSparseCodecsLossless(t *testing.T) {
+	const nodes = 400
+	ix, src, _ := buildGraph(t, nodes, 300)
+	var ranks, prevIn []float64
+	for iter := 0; iter < 2; iter++ {
+		p := PageRankParams{Nodes: nodes, Damping: 0.85, Ranks: ranks}
+		params, err := EncodePageRankParams(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wantParams := pageRankParamsHeader
+		if ranks != nil {
+			// Exactly the nodes that received a contribution carry a value.
+			wantParams += (nodes+7)/8 + 8*nonFill(prevIn, 0)
+		}
+		if len(params) != wantParams {
+			t.Errorf("iter %d: params are %d bytes, want %d", iter, len(params), wantParams)
+		}
+		red, err := core.NewReducer(PageRankReducerName, params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := red.(*PageRankReducer).Params
+		if got.Nodes != nodes || got.Damping != p.Damping || !sameBits(got.Ranks, ranks) || (got.Ranks == nil) != (ranks == nil) {
+			t.Fatalf("iter %d: params round trip = %d nodes, damping %v, %d ranks", iter, got.Nodes, got.Damping, len(got.Ranks))
+		}
+		obj, err := core.Run(core.EngineConfig{Reducer: red, Workers: 2, UnitSize: ix.UnitSize}, ix, src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		in := obj.(*PageRankObject).Incoming
+		enc, err := red.Encode(obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		zeros := 0
+		for _, v := range in {
+			if v == 0 {
+				zeros++
+			}
+		}
+		if zeros == 0 {
+			t.Fatalf("iter %d: every node has in-links; the graph exercises no sparsity", iter)
+		}
+		if want := (nodes+7)/8 + 8*nonFill(in, 0); len(enc) != want {
+			t.Errorf("iter %d: object is %d bytes, want %d", iter, len(enc), want)
+		}
+		back, err := red.Decode(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameBits(back.(*PageRankObject).Incoming, in) {
+			t.Fatalf("iter %d: object round trip changed bits", iter)
+		}
+		ranks, prevIn = NextRanks(obj.(*PageRankObject), p.Damping), in
+	}
+}
+
+func nonFill(v []float64, fill float64) int {
+	n := 0
+	for _, x := range v {
+		if math.Float64bits(x) != math.Float64bits(fill) {
+			n++
+		}
+	}
+	return n
+}
+
+func sameBits(a, b []float64) bool {
+	return slices.EqualFunc(a, b, func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) })
+}
+
+// TestPageRankParamsMalformed checks that the registry decoder rejects
+// every params frame that is not exactly one encoding, and that a tiny
+// frame claiming 2^40 nodes fails before the rank vector is allocated.
+func TestPageRankParamsMalformed(t *testing.T) {
+	good, err := EncodePageRankParams(PageRankParams{Nodes: 10, Damping: 0.85, Ranks: []float64{1, 2, 3, 0.015, 0.015, 0.015, 0.015, 0.015, 0.015, 0.015}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	noRanks, err := EncodePageRankParams(PageRankParams{Nodes: 10, Damping: 0.85})
+	if err != nil {
+		t.Fatal(err)
+	}
+	withHeader := func(b []byte, nodes uint64, present byte) []byte {
+		b = slices.Clone(b)
+		binary.LittleEndian.PutUint64(b, nodes)
+		b[16] = present
+		return b
+	}
+	huge := withHeader(good, 1<<40, 1)
+	cases := []struct {
+		name string
+		data []byte
+		want string
+	}{
+		{"short header", good[:16], "at least 17"},
+		{"bad ranks-present byte", withHeader(noRanks, 10, 2), "want 0 or 1"},
+		{"trailing bytes without ranks", append(slices.Clone(noRanks), 0), "trailing"},
+		{"short bitmap", good[:18], "does not fit"},
+		{"truncated ranks", good[:len(good)-1], "value bytes"},
+		{"trailing bytes after ranks", append(slices.Clone(good), 0), "value bytes"},
+		{"padding bits past nodes", withHeader(good, 9, 1), "past 9"},
+		{"nodes overflow int", withHeader(noRanks, math.MaxUint64, 0), "claim"},
+		{"bitmap longer than frame", huge, "does not fit"},
+	}
+	for _, c := range cases {
+		if _, err := core.NewReducer(PageRankReducerName, c.data); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: err = %v, want it to mention %q", c.name, err, c.want)
+		}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err = core.NewReducer(PageRankReducerName, huge)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("2^40-node frame accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<16 {
+		t.Errorf("rejecting a %d-byte frame that claims 2^40 nodes allocated %d bytes", len(huge), n)
 	}
 }
 

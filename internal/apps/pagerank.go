@@ -1,7 +1,9 @@
 package apps
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/workload"
@@ -33,9 +35,11 @@ func (p PageRankParams) Validate() error {
 }
 
 // PageRankObject is the reduction object: the vector of incoming rank
-// contributions for every node. At 8 bytes per node this is the "very
+// contributions for every node. With one entry per node this is the "very
 // large reduction object" whose inter-cluster exchange dominates the
-// application's sync time in the paper.
+// application's sync time in the paper. A site's vector is non-zero only at
+// the destinations of the edges it folded, which the wire layout exploits
+// (see Encode).
 type PageRankObject struct {
 	Incoming []float64
 }
@@ -100,27 +104,23 @@ func (r *PageRankReducer) GlobalReduce(dst, src core.Object) error {
 	return core.SumFloat64s(dst.(*PageRankObject).Incoming, src.(*PageRankObject).Incoming)
 }
 
-// Encode implements core.Reducer: Nodes little-endian float64s. For the
-// paper's graph this is hundreds of megabytes — by design.
+// Encode implements core.Reducer: the contribution vector in core's sparse
+// layout with fill 0 (core.AppendSparseFloat64s) — a bitmap of Nodes bits
+// marking the nodes that received a non-zero contribution, then those
+// contributions as little-endian float64s. The encoding is lossless, and
+// with no zero entry at all it is Nodes/8 bytes larger than the dense
+// vector.
 func (r *PageRankReducer) Encode(obj core.Object) ([]byte, error) {
-	o := obj.(*PageRankObject)
-	buf := make([]byte, 0, 8*len(o.Incoming))
-	for _, v := range o.Incoming {
-		buf = core.AppendFloat64(buf, v)
-	}
-	return buf, nil
+	return core.AppendSparseFloat64s(nil, obj.(*PageRankObject).Incoming, 0), nil
 }
 
 // Decode implements core.Reducer.
 func (r *PageRankReducer) Decode(data []byte) (core.Object, error) {
-	if len(data) != 8*r.Params.Nodes {
-		return nil, fmt.Errorf("apps: pagerank object is %d bytes, want %d", len(data), 8*r.Params.Nodes)
+	in, err := core.SparseFloat64s(data, r.Params.Nodes, 0)
+	if err != nil {
+		return nil, fmt.Errorf("apps: pagerank object: %w", err)
 	}
-	o := &PageRankObject{Incoming: make([]float64, r.Params.Nodes)}
-	for i := range o.Incoming {
-		o.Incoming[i] = core.Float64At(data, 8*i)
-	}
-	return o, nil
+	return &PageRankObject{Incoming: in}, nil
 }
 
 var (
@@ -135,23 +135,77 @@ var (
 func NextRanks(obj *PageRankObject, damping float64) []float64 {
 	n := len(obj.Incoming)
 	ranks := make([]float64, n)
-	base := (1 - damping) / float64(n)
+	base := rankBase(n, damping)
 	for i, in := range obj.Incoming {
 		ranks[i] = base + damping*in
 	}
 	return ranks
 }
 
+// rankBase is (1-d)/N, the rank NextRanks gives a node with no incoming
+// contribution. The params codec uses it as the fill of the rank vector, so
+// every such node's rank equals the fill bit for bit.
+func rankBase(nodes int, damping float64) float64 { return (1 - damping) / float64(nodes) }
+
 // PageRankReducerName is the registry name of the PageRank application.
 const PageRankReducerName = "pagerank"
 
-// EncodePageRankParams serializes p for a JobSpec.
-func EncodePageRankParams(p PageRankParams) ([]byte, error) { return encodeParams(p) }
+// pageRankParamsHeader is the fixed part of the params layout: Nodes
+// (uint64), Damping (float64 bits), both little-endian, and a byte that is
+// 1 when a rank vector follows.
+const pageRankParamsHeader = 17
+
+// EncodePageRankParams serializes p for a JobSpec: the fixed header, then,
+// when p.Ranks is set, the ranks in core's sparse layout with fill (1-d)/N.
+// Every node without in-links holds exactly that rank, so those nodes cost
+// one bitmap bit each.
+func EncodePageRankParams(p PageRankParams) ([]byte, error) {
+	if err := p.Validate(); err != nil {
+		return nil, err
+	}
+	buf := make([]byte, pageRankParamsHeader)
+	binary.LittleEndian.PutUint64(buf, uint64(p.Nodes))
+	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(p.Damping))
+	if p.Ranks == nil {
+		return buf, nil
+	}
+	buf[16] = 1
+	return core.AppendSparseFloat64s(buf, p.Ranks, rankBase(p.Nodes, p.Damping)), nil
+}
+
+// decodePageRankParams is EncodePageRankParams' inverse. It rejects any
+// frame that is not exactly one encoding, and it checks a claimed Nodes
+// against the frame before allocating the rank vector.
+func decodePageRankParams(data []byte) (PageRankParams, error) {
+	if len(data) < pageRankParamsHeader {
+		return PageRankParams{}, fmt.Errorf("params are %d bytes, want at least %d", len(data), pageRankParamsHeader)
+	}
+	nodes := binary.LittleEndian.Uint64(data)
+	if nodes > math.MaxInt {
+		return PageRankParams{}, fmt.Errorf("params claim %d nodes", nodes)
+	}
+	p := PageRankParams{Nodes: int(nodes), Damping: math.Float64frombits(binary.LittleEndian.Uint64(data[8:]))}
+	switch rest := data[pageRankParamsHeader:]; data[16] {
+	case 0:
+		if len(rest) != 0 {
+			return PageRankParams{}, fmt.Errorf("%d trailing bytes after params without ranks", len(rest))
+		}
+	case 1:
+		ranks, err := core.SparseFloat64s(rest, p.Nodes, rankBase(p.Nodes, p.Damping))
+		if err != nil {
+			return PageRankParams{}, err
+		}
+		p.Ranks = ranks
+	default:
+		return PageRankParams{}, fmt.Errorf("ranks-present byte is %d, want 0 or 1", data[16])
+	}
+	return p, nil
+}
 
 func init() {
 	core.Register(PageRankReducerName, func(params []byte) (core.Reducer, error) {
-		var p PageRankParams
-		if err := decodeParams(params, &p); err != nil {
+		p, err := decodePageRankParams(params)
+		if err != nil {
 			return nil, fmt.Errorf("apps: pagerank params: %w", err)
 		}
 		return NewPageRankReducer(p)

@@ -100,6 +100,13 @@ func newHeadTuned(t testing.TB, ix *chunk.Index, placement jobs.Placement, clust
 // over ix with the given placement.
 func newQueryHead(t testing.TB, ix *chunk.Index, placement jobs.Placement, cfg head.Config) *singleQuery {
 	t.Helper()
+	return newAppHead(t, ix, placement, cfg, sumReducer{}, protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4})
+}
+
+// newAppHead is newQueryHead for any registered app: spec names the app,
+// its params and unit size, and r is the head's copy of its reducer.
+func newAppHead(t testing.TB, ix *chunk.Index, placement jobs.Placement, cfg head.Config, r core.Reducer, spec protocol.JobSpec) *singleQuery {
+	t.Helper()
 	h, err := head.New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -108,11 +115,11 @@ func newQueryHead(t testing.TB, ix *chunk.Index, placement jobs.Placement, cfg h
 	if err != nil {
 		t.Fatal(err)
 	}
-	spec := protocol.JobSpec{App: "cluster-test-sum", UnitSize: 4, GroupBytes: 1 << 10}
+	spec.GroupBytes = 1 << 10
 	if err := head.EncodeIndexSpec(&spec, ix); err != nil {
 		t.Fatal(err)
 	}
-	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: sumReducer{}, Spec: spec, ExpectAll: true})
+	q, err := h.Admit(head.QueryConfig{Pool: pool, Reducer: r, Spec: spec, ExpectAll: true})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -3,11 +3,14 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/apps"
 	"repro/internal/chunk"
 	"repro/internal/config"
 	"repro/internal/core"
@@ -15,6 +18,7 @@ import (
 	"repro/internal/head"
 	"repro/internal/jobs"
 	"repro/internal/protocol"
+	"repro/internal/workload"
 )
 
 // newFaultHead is newHead plus a fault configuration: a checkpoint store and
@@ -91,6 +95,123 @@ func TestWorkerCrashRecoveryByteIdentical(t *testing.T) {
 	}
 	if got := obj.(*sumObj).total; got != want {
 		t.Errorf("recovered sum = %d, want %d", got, want)
+	}
+}
+
+// pageRankRecoveryGraph lays out 2000 edges over 1024 nodes as 4 files ×
+// 10 chunks (40 jobs). Nodes 0–249 each link to 8 even nodes; odd nodes
+// receive nothing, so half of every reduction object is zero. The params
+// carry a rank vector that is dyadic on the sources and (1-d)/N, the
+// codec's fill, elsewhere: every contribution is an exact power of two and
+// every sum is exact, so the final object is independent of fold order and
+// each node's exact in-sum is known.
+func pageRankRecoveryGraph(t *testing.T) (*chunk.Index, *chunk.MemSource, apps.PageRankParams, []float64) {
+	t.Helper()
+	const nodes, edges, outDeg = 1024, 2000, 8
+	ix, err := chunk.Layout("pr", edges, workload.EdgeUnitSize, 500, 50)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := apps.PageRankParams{Nodes: nodes, Damping: 0.85, Ranks: make([]float64, nodes)}
+	for i := range p.Ranks {
+		p.Ranks[i] = (1 - p.Damping) / nodes
+		if i < edges/outDeg {
+			p.Ranks[i] = math.Ldexp(1, -9-i%2)
+		}
+	}
+	want := make([]float64, nodes)
+	src := chunk.NewMemSource(ix)
+	e := 0
+	for _, f := range ix.Files {
+		buf := make([]byte, f.Size)
+		for off := 0; off < len(buf); off += workload.EdgeUnitSize {
+			from, to := e/outDeg, 2*(e*37%(nodes/2))
+			binary.LittleEndian.PutUint32(buf[off:], uint32(from))
+			binary.LittleEndian.PutUint32(buf[off+4:], uint32(to))
+			binary.LittleEndian.PutUint32(buf[off+8:], outDeg)
+			want[to] += p.Ranks[from] / outDeg
+			e++
+		}
+		if err := src.WriteFile(f.Name, buf); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return ix, src, p, want
+}
+
+// TestPageRankCrashRecoveryByteIdentical is the recovery drill with the
+// application whose reduction object is large: a PageRank master is killed
+// mid-query after shipping checkpoints, its replacement resumes from the
+// last (sparse) checkpoint, and the final object is byte-identical to an
+// uninterrupted run's, with every edge's contribution counted exactly once.
+func TestPageRankCrashRecoveryByteIdentical(t *testing.T) {
+	ix, src, p, want := pageRankRecoveryGraph(t)
+	placement := jobs.SplitByFraction(len(ix.Files), 1, 0, 1)
+	params, err := apps.EncodePageRankParams(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	spec := protocol.JobSpec{App: apps.PageRankReducerName, Params: params, UnitSize: workload.EdgeUnitSize}
+	r, err := apps.NewPageRankReducer(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	refObj, _, err := newAppHead(t, ix, placement, head.Config{ExpectClusters: 1, Logf: t.Logf}, r, spec).run(AgentConfig{
+		Site: 0, Name: "ref", Cores: 2,
+		Sources: map[int]chunk.Source{0: src},
+	})
+	if err != nil {
+		t.Fatalf("reference run: %v", err)
+	}
+
+	store := fault.NewMemStore()
+	h := newAppHead(t, ix, placement, head.Config{
+		ExpectClusters: 1,
+		Logf:           t.Logf,
+		Fault:          head.FaultConfig{Store: store},
+	}, r, spec)
+	inj := &fault.Injector{Source: src, KillAfter: 12}
+	cfg := AgentConfig{
+		Site: 0, Name: "doomed", Cores: 2,
+		Sources: map[int]chunk.Source{0: inj},
+		Head:    InProcAgent{Head: h.Head},
+		Tuning:  config.Tuning{CheckpointEveryJobs: 5},
+		Retry:   Retry{Attempts: 2, Backoff: time.Millisecond},
+		Logf:    t.Logf,
+	}
+	if err := RunAgent(context.Background(), cfg); err == nil {
+		t.Fatal("killed master's run succeeded")
+	}
+	data, err := store.Get(fault.QueryKey("", h.q.ID(), 0))
+	if err != nil {
+		t.Fatalf("no checkpoint persisted before the crash: %v", err)
+	}
+	ck, err := fault.DecodeCheckpoint(data)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if dense := 8 * p.Nodes; len(ck.Object) >= dense {
+		t.Errorf("checkpointed object is %d bytes, not below the dense %d", len(ck.Object), dense)
+	}
+
+	inj.Arm()
+	obj, reports, err := h.run(cfg)
+	if err != nil {
+		t.Fatalf("restarted run: %v", err)
+	}
+	final, _ := r.Encode(obj)
+	refFinal, _ := r.Encode(refObj)
+	if !bytes.Equal(final, refFinal) {
+		t.Errorf("final object differs after recovery (%d vs %d bytes)", len(final), len(refFinal))
+	}
+	if n := siteJobs(reports, 0); n > 30 {
+		t.Errorf("replacement processed %d jobs; checkpoint resume should cap it at 30", n)
+	}
+	for i, got := range obj.(*apps.PageRankObject).Incoming {
+		if got != want[i] {
+			t.Fatalf("node %d: in-sum %v, want %v (an edge lost or folded twice)", i, got, want[i])
+		}
 	}
 }
 

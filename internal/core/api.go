@@ -29,6 +29,8 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
 	"sync"
 )
@@ -181,6 +183,156 @@ func AppendFloat64(b []byte, v float64) []byte {
 // Float64At decodes the float64 at offset off in b.
 func Float64At(b []byte, off int) float64 {
 	return math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
+}
+
+// AppendSparseFloat64s appends v to b in the sparse vector layout and
+// returns the extended slice. The layout is a bitmap of ceil(len(v)/8)
+// bytes, in which bit i%8 of byte i/8 is set when the bits of v[i] differ
+// from those of fill, followed by the little-endian IEEE-754 encodings of
+// the set entries in index order. Entries are compared with
+// math.Float64bits, so -0.0, NaN payloads, ±Inf and subnormals round-trip
+// exactly. The length is not encoded: the decoder is told it. A counting
+// pass sizes the result, so b grows at most once.
+func AppendSparseFloat64s(b []byte, v []float64, fill float64) []byte {
+	fb := math.Float64bits(fill)
+	full, words := len(v)/64, (len(v)+63)/64
+
+	// The counting pass keeps each word's mask, so the values pass below
+	// reads only the entries it writes.
+	sp := sparseMasks.Get().(*[]uint64)
+	masks := slices.Grow((*sp)[:0], words)[:words]
+	set := 0
+	for w := 0; w < full; w++ {
+		masks[w] = blockMask((*[64]float64)(v[64*w:]), fb)
+		set += bits.OnesCount64(masks[w])
+	}
+	if full < words {
+		var tail [64]float64 // the short last word, padded with fill
+		for j := range tail {
+			tail[j] = fill
+		}
+		copy(tail[:], v[64*full:])
+		masks[full] = blockMask(&tail, fb)
+		set += bits.OnesCount64(masks[full])
+	}
+
+	start, bm := len(b), (len(v)+7)/8
+	b = slices.Grow(b, bm+8*set)[:start+bm+8*set]
+	bitmap, vals := b[start:start+bm], b[start+bm:]
+	k := 0
+	for w, mask := range masks {
+		putBitmapWord(bitmap, w, mask)
+		for m := mask; m != 0; m &= m - 1 {
+			binary.LittleEndian.PutUint64(vals[k:], math.Float64bits(v[64*w+bits.TrailingZeros64(m)]))
+			k += 8
+		}
+	}
+	*sp = masks
+	sparseMasks.Put(sp)
+	return b
+}
+
+// sparseMasks recycles AppendSparseFloat64s's per-word masks: one word per
+// 64 entries, so the encoder allocates only the buffer it returns.
+var sparseMasks = sync.Pool{New: func() any { return new([]uint64) }}
+
+// blockMask returns the bitmap word of 64 entries: bit j is set when the
+// bits of block[j] differ from fb. Each step compares 8 entries into one
+// byte with constant shifts, which keeps the compares independent of each
+// other and of the loop-carried mask.
+func blockMask(block *[64]float64, fb uint64) uint64 {
+	var mask uint64
+	for g := 0; g < 64; g += 8 {
+		q := (*[8]float64)(block[g : g+8])
+		m := differs(math.Float64bits(q[0]), fb) |
+			differs(math.Float64bits(q[1]), fb)<<1 |
+			differs(math.Float64bits(q[2]), fb)<<2 |
+			differs(math.Float64bits(q[3]), fb)<<3 |
+			differs(math.Float64bits(q[4]), fb)<<4 |
+			differs(math.Float64bits(q[5]), fb)<<5 |
+			differs(math.Float64bits(q[6]), fb)<<6 |
+			differs(math.Float64bits(q[7]), fb)<<7
+		mask |= m << g
+	}
+	return mask
+}
+
+// SparseFloat64s decodes the n-entry vector that AppendSparseFloat64s
+// wrote with the same fill. data must be exactly that encoding: a short
+// bitmap, truncated or trailing values, bitmap bits set past n, and an
+// explicit entry whose bits equal fill's (which the encoder never writes)
+// are errors, so every accepted input re-encodes to the same bytes. The
+// bitmap length is checked against data before anything is allocated.
+func SparseFloat64s(data []byte, n int, fill float64) ([]float64, error) {
+	if n < 0 || uint64(n) > 8*uint64(len(data)) {
+		return nil, fmt.Errorf("core: sparse vector of %d entries does not fit %d bytes", n, len(data))
+	}
+	bm := (n + 7) / 8
+	bitmap, vals := data[:bm], data[bm:]
+	words := (n + 63) / 64
+	set := 0
+	for w := 0; w < words; w++ {
+		set += bits.OnesCount64(bitmapWord(bitmap, w))
+	}
+	if tail := n % 64; tail != 0 && bitmapWord(bitmap, words-1)>>tail != 0 {
+		return nil, fmt.Errorf("core: sparse vector bitmap marks entries past %d", n)
+	}
+	if len(vals) != 8*set {
+		return nil, fmt.Errorf("core: sparse vector marks %d entries but carries %d value bytes", set, len(vals))
+	}
+	out := make([]float64, n)
+	fb := math.Float64bits(fill)
+	if fb != 0 {
+		for i := range out {
+			out[i] = fill
+		}
+	}
+	for w := 0; w < words; w++ {
+		for m := bitmapWord(bitmap, w); m != 0; m &= m - 1 {
+			x := binary.LittleEndian.Uint64(vals)
+			if x == fb {
+				return nil, fmt.Errorf("core: sparse vector entry %d is marked but equals the fill", 64*w+bits.TrailingZeros64(m))
+			}
+			out[64*w+bits.TrailingZeros64(m)] = math.Float64frombits(x)
+			vals = vals[8:]
+		}
+	}
+	return out, nil
+}
+
+// differs is 1 when a != b and 0 otherwise. The compiler turns it into a
+// compare and SETNE, not a branch: the vectors the sparse codec sees mix
+// fill and non-fill entries unpredictably.
+func differs(a, b uint64) uint64 {
+	var d uint64
+	if a != b {
+		d = 1
+	}
+	return d
+}
+
+// bitmapWord reads bitmap word w: entries 64w to 64w+63, little-endian. The
+// last word may be short.
+func bitmapWord(bitmap []byte, w int) uint64 {
+	if b := bitmap[8*w:]; len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var word uint64
+	for k, c := range bitmap[8*w:] {
+		word |= uint64(c) << (8 * k)
+	}
+	return word
+}
+
+// putBitmapWord is bitmapWord's inverse.
+func putBitmapWord(bitmap []byte, w int, word uint64) {
+	if b := bitmap[8*w:]; len(b) >= 8 {
+		binary.LittleEndian.PutUint64(b, word)
+		return
+	}
+	for k := range bitmap[8*w:] {
+		bitmap[8*w+k] = byte(word >> (8 * k))
+	}
 }
 
 // AppendFloat32 appends the little-endian IEEE-754 encoding of v to b.
